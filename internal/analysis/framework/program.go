@@ -85,9 +85,9 @@ func (p *Program) Memo(key string, build func() any) any {
 // declared function/method (Fn, Decl set) or a function literal (Lit,
 // Parent set). Literals are first-class nodes — unlike the per-package
 // CallGraph, which folds them into the enclosing declaration — because
-// context-sensitivity lives exactly there: ior.StartJob contains both a
-// shim-mode literal handed to World.Launch and a task-mode literal
-// handed to World.LaunchTasks, and only the latter runs in task context.
+// context-sensitivity lives exactly there: one function may hand one
+// literal to a go statement and another to Signal.Await, and only the
+// latter runs in task context.
 type Node struct {
 	Fn   *types.Func   // declared functions; nil for literals
 	Decl *ast.FuncDecl // declaration; nil for literals

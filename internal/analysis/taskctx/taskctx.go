@@ -6,8 +6,7 @@
 // sim.Task). That dispatch model is correct only under an invariant the
 // compiler cannot see — code reachable from a task continuation must
 // never block the calling goroutine or hand work to another one. A
-// blocking Proc primitive (Signal.Wait, Resource.Acquire), a channel
-// operation, a sync.Mutex held across events, or a re-entrant
+// channel operation, a sync.Mutex held across events, or a re-entrant
 // Engine.Run inside a continuation deadlocks or diverges the simulation
 // silently; a go statement forks simulated state off the deterministic
 // event order.
@@ -22,8 +21,6 @@
 //
 //   - go statements;
 //   - channel sends, receives, selects, and ranges over channels;
-//   - blocking shim primitives (sim.Proc.Sleep/Wait/WaitAll,
-//     sim.Resource.Acquire/Use);
 //   - blocking sync operations (Mutex.Lock, RWMutex.Lock/RLock,
 //     WaitGroup.Wait, Cond.Wait);
 //   - re-entrant sim.Engine.Run/RunUntil.
@@ -31,8 +28,8 @@
 // Escape hatch: //pfsim:taskctxok with an audited justification. As a
 // doc directive it marks the whole function safe — the traversal stops
 // there, and function literals passed to it as arguments are understood
-// to escape task context (the audited shim spawn paths use this). As a
-// line directive it suppresses one finding.
+// to escape task context (an audited sink that runs its callback off the
+// event loop). As a line directive it suppresses one finding.
 //
 // Closures launched by a go statement are not traversed (the statement
 // itself is the finding), and dynamic calls through func-typed fields
@@ -57,7 +54,7 @@ var Analyzer = &framework.Analyzer{
 	Doc: "flag blocking constructs reachable from inline task continuations\n\n" +
 		"Function values passed to //pfsim:taskctx-annotated CPS entry points run\n" +
 		"inline on the event loop; anything reachable from them (cross-package)\n" +
-		"must not spawn goroutines, touch channels, call blocking Proc/sync\n" +
+		"must not spawn goroutines, touch channels, call blocking sync\n" +
 		"primitives, or re-enter Engine.Run. //pfsim:taskctxok escapes with audit.",
 	Run: run,
 }
@@ -181,7 +178,7 @@ func compute(prog *framework.Program) []finding {
 				continue // runs on its own goroutine; the go statement is the finding
 			}
 			if lit.ArgCallee != nil && docHas(lit.ArgCallee, dirTaskctxOK) {
-				continue // escapes into an audited sink (shim spawn paths)
+				continue // escapes into an audited sink
 			}
 			visit(lit, it.r)
 		}
@@ -245,8 +242,7 @@ func compute(prog *framework.Program) []finding {
 }
 
 // blockingCall classifies calls that must not appear in task context:
-// the goroutine-parking shim primitives, re-entrant engine runs, and
-// blocking sync operations.
+// re-entrant engine runs and blocking sync operations.
 func blockingCall(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -256,10 +252,6 @@ func blockingCall(fn *types.Func) (string, bool) {
 	switch {
 	case framework.HasPathTail(pkg.Path(), "internal/sim"):
 		switch recv + "." + fn.Name() {
-		case "Proc.Sleep", "Proc.Wait", "Proc.WaitAll":
-			return "blocking shim sim." + recv + "." + fn.Name() + " call", true
-		case "Resource.Acquire", "Resource.Use":
-			return "blocking shim sim." + recv + "." + fn.Name() + " call", true
 		case "Engine.Run", "Engine.RunUntil":
 			return "re-entrant sim.Engine." + fn.Name() + " call", true
 		}

@@ -1801,7 +1801,7 @@ func (n *Net) checkHeap() error {
 }
 
 // Dones collects the completion signals of a flow batch, ready for
-// Proc.WaitAll — the usual coda to StartBatch.
+// sim.AwaitAll — the usual coda to StartBatch.
 func Dones(flows []*Flow) []*sim.Signal {
 	out := make([]*sim.Signal, len(flows))
 	for i, f := range flows {
@@ -1810,10 +1810,8 @@ func Dones(flows []*Flow) []*sim.Signal {
 	return out
 }
 
-// TransferThen starts a flow and runs k with it on completion — the
-// continuation form of "transfer and wait". (Shim-mode callers start the
-// flow and Wait on its Done signal inline; the proc convenience wrapper
-// was deleted when the procshim ratchet landed.)
+// TransferThen starts a flow and runs k with it on completion — "transfer
+// and wait" for a task: the task parks on the flow's Done signal.
 //
 //pfsim:taskctx
 func (n *Net) TransferThen(t *sim.Task, name string, sizeMB, maxRate float64, k func(*Flow), path ...*Link) *Flow {

@@ -224,11 +224,12 @@ func TestTransferAndWait(t *testing.T) {
 	n := NewNet(e)
 	l := n.NewLink("pipe", Const(50))
 	var took float64
-	e.Spawn("client", func(p *sim.Proc) {
-		start := p.Now()
-		f := n.Start("xfer", 500, 0, l)
-		p.Wait(f.Done)
-		took = p.Now() - start
+	e.StartTask(0, "client", -1, func(tk *sim.Task) {
+		start := tk.Now()
+		n.TransferThen(tk, "xfer", 500, 0, func(*Flow) {
+			took = tk.Now() - start
+			tk.Finish()
+		}, l)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

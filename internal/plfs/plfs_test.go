@@ -1,7 +1,6 @@
 package plfs
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -23,25 +22,39 @@ func testSys(t *testing.T) (*sim.Engine, *lustre.System) {
 	return eng, sys
 }
 
+// createMeta starts the task that builds c's skeleton.
+func createMeta(eng *sim.Engine, c *Container) {
+	eng.StartTask(0, "meta", -1, func(tk *sim.Task) { c.CreateMetaK(tk, tk.Finish) })
+}
+
+// openRank starts a task for rank r that opens its log and hands it to
+// body, which must finish the task.
+func openRank(eng *sim.Engine, c *Container, r int, body func(tk *sim.Task, rl *RankLog, err error)) {
+	eng.StartTask(0, "rank", r, func(tk *sim.Task) {
+		c.OpenRankK(tk, r, func(rl *RankLog, err error) { body(tk, rl, err) })
+	})
+}
+
 func TestContainerLifecycle(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "checkpoint")
 	const ranks = 8
 	var logs [ranks]*RankLog
-	eng.Spawn("rank0-meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	createMeta(eng, c)
 	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			rl, err := c.OpenRank(p, r)
+		openRank(eng, c, r, func(tk *sim.Task, rl *RankLog, err error) {
 			if err != nil {
-				t.Errorf("OpenRank(%d): %v", r, err)
+				t.Errorf("OpenRankK(%d): %v", r, err)
+				tk.Finish()
 				return
 			}
 			logs[r] = rl
-			if err := rl.Write(p, r/16, 100, 1); err != nil {
-				t.Errorf("Write(%d): %v", r, err)
-			}
-			rl.Close(p)
+			rl.WriteK(tk, r/16, 100, 1, func(err error) {
+				if err != nil {
+					t.Errorf("WriteK(%d): %v", r, err)
+				}
+				rl.CloseK(tk, tk.Finish)
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -64,6 +77,9 @@ func TestContainerLifecycle(t *testing.T) {
 	if c.IndexRecords() != ranks*100 {
 		t.Errorf("index records = %d", c.IndexRecords())
 	}
+	if eng.LiveTasks() != 0 {
+		t.Errorf("%d tasks still live", eng.LiveTasks())
+	}
 }
 
 func TestOpenStormSerializes(t *testing.T) {
@@ -71,16 +87,16 @@ func TestOpenStormSerializes(t *testing.T) {
 	c := NewContainer(sys, "storm")
 	const ranks = 32
 	var lastOpen float64
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	createMeta(eng, c)
 	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			if _, err := c.OpenRank(p, r); err != nil {
+		openRank(eng, c, r, func(tk *sim.Task, _ *RankLog, err error) {
+			if err != nil {
 				t.Errorf("open %d: %v", r, err)
 			}
-			if p.Now() > lastOpen {
-				lastOpen = p.Now()
+			if tk.Now() > lastOpen {
+				lastOpen = tk.Now()
 			}
+			tk.Finish()
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -99,14 +115,17 @@ func TestOpenStormSerializes(t *testing.T) {
 func TestDuplicateOpenRejected(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "dup")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		if _, err := c.OpenRank(p, 3); err != nil {
+	createMeta(eng, c)
+	openRank(eng, c, 3, func(tk *sim.Task, _ *RankLog, err error) {
+		if err != nil {
 			t.Errorf("first open: %v", err)
 		}
-		if _, err := c.OpenRank(p, 3); err == nil {
-			t.Error("duplicate open accepted")
-		}
+		c.OpenRankK(tk, 3, func(_ *RankLog, err error) {
+			if err == nil {
+				t.Error("duplicate open accepted")
+			}
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -116,23 +135,41 @@ func TestDuplicateOpenRejected(t *testing.T) {
 func TestWriteValidation(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "val")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		if err := rl.Write(p, 0, -1, 1); err == nil {
-			t.Error("negative size accepted")
+	createMeta(eng, c)
+	openRank(eng, c, 0, func(tk *sim.Task, rl *RankLog, _ error) {
+		// Invalid and empty writes are answered synchronously.
+		answered := 0
+		rl.WriteK(tk, 0, -1, 1, func(err error) {
+			answered++
+			if err == nil {
+				t.Error("negative size accepted")
+			}
+		})
+		rl.WriteK(tk, 0, 10, 0, func(err error) {
+			answered++
+			if err == nil {
+				t.Error("zero transfer accepted")
+			}
+		})
+		rl.WriteK(tk, 0, 0, 1, func(err error) {
+			answered++
+			if err != nil {
+				t.Errorf("zero-size write should be a no-op: %v", err)
+			}
+		})
+		if answered != 3 {
+			t.Errorf("%d of 3 invalid/empty writes answered synchronously", answered)
 		}
-		if err := rl.Write(p, 0, 10, 0); err == nil {
-			t.Error("zero transfer accepted")
-		}
-		if err := rl.Write(p, 0, 0, 1); err != nil {
-			t.Errorf("zero-size write should be a no-op: %v", err)
-		}
-		rl.Close(p)
-		rl.Close(p) // idempotent
-		if err := rl.Write(p, 0, 10, 1); err == nil {
-			t.Error("write after close accepted")
-		}
+		rl.CloseK(tk, func() {
+			rl.CloseK(tk, func() { // idempotent
+				rl.WriteK(tk, 0, 10, 1, func(err error) {
+					if err == nil {
+						t.Error("write after close accepted")
+					}
+					tk.Finish()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -145,14 +182,16 @@ func TestRankRateCap(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "solo")
 	var bw float64
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		start := p.Now()
-		if err := rl.Write(p, 0, 470, 1); err != nil {
-			t.Fatal(err)
-		}
-		bw = 470 / (p.Now() - start)
+	createMeta(eng, c)
+	openRank(eng, c, 0, func(tk *sim.Task, rl *RankLog, _ error) {
+		start := tk.Now()
+		rl.WriteK(tk, 0, 470, 1, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			bw = 470 / (tk.Now() - start)
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -189,13 +228,13 @@ func TestAssignmentMatchesEquation5(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "eq5")
 	const ranks = 512
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	createMeta(eng, c)
 	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			if _, err := c.OpenRank(p, r); err != nil {
+		openRank(eng, c, r, func(tk *sim.Task, _ *RankLog, err error) {
+			if err != nil {
 				t.Errorf("open: %v", err)
 			}
+			tk.Finish()
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -218,21 +257,27 @@ func TestAssignmentMatchesEquation5(t *testing.T) {
 func TestReadBack(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "rb")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	createMeta(eng, c)
 	var readTime float64
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		if err := rl.Write(p, 0, 94, 1); err != nil {
-			t.Fatal(err)
-		}
-		start := p.Now()
-		if err := rl.Read(p, 0, 94); err != nil {
-			t.Fatal(err)
-		}
-		readTime = p.Now() - start
-		if err := rl.Read(p, 0, 0); err != nil {
-			t.Errorf("zero read: %v", err)
-		}
+	openRank(eng, c, 0, func(tk *sim.Task, rl *RankLog, _ error) {
+		rl.WriteK(tk, 0, 94, 1, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			start := tk.Now()
+			rl.ReadK(tk, 0, 94, func(err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				readTime = tk.Now() - start
+				rl.ReadK(tk, 0, 0, func(err error) {
+					if err != nil {
+						t.Errorf("zero read: %v", err)
+					}
+					tk.Finish()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

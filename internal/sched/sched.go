@@ -183,9 +183,8 @@ func (s *state) start(q *queued, first, nodes int) {
 		return
 	}
 	startAt := s.eng.Now()
-	// A completion subscription rather than a watcher process: the job's
-	// Done signal reschedules the dispatcher directly, so the scheduler
-	// holds no parked goroutine per running job.
+	// A completion subscription: the job's Done signal reschedules the
+	// dispatcher directly, with no task parked per running job.
 	rj.Done.OnFired(func() {
 		if rj.Err() != nil && s.err == nil {
 			s.err = rj.Err()

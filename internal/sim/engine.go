@@ -1,11 +1,12 @@
 // Package sim provides the discrete-event simulation engine that underpins
 // pfsim. Virtual time is a float64 number of seconds. Events fire in
 // (time, sequence) order, so simulations are fully deterministic. On top of
-// the raw event queue the package offers coroutine-style processes (Proc):
-// each process is a goroutine, but exactly one goroutine — the engine or a
-// single process — runs at any instant, with control transferred explicitly.
-// This gives natural blocking APIs (Sleep, Wait, Acquire) without
-// introducing any scheduling nondeterminism.
+// the raw event queue the package offers inline tasks (Task): simulated
+// processes written in continuation-passing style, whose blocking points
+// (Task.Sleep, Signal.Await, Resource.AcquireTask) park a continuation on
+// the event heap or a FIFO waiter list. Every continuation runs on the
+// event loop's own goroutine, so there is no scheduling nondeterminism to
+// introduce.
 package sim
 
 import (
@@ -71,12 +72,6 @@ type Engine struct {
 	seq     int64
 	stopped bool
 
-	yield   chan struct{} // handed a token when a proc returns control
-	procs   int           // live processes
-	live    []*Proc       // every spawned, unfinished process (Drain's worklist)
-	blocked map[*Proc]blockedOn
-	killing bool // Drain in progress: resumed procs unwind instead of running
-
 	tasks    int // started, unfinished inline tasks
 	blockedT map[*Task]blockedOn
 
@@ -107,14 +102,10 @@ func (e *Engine) SetPoll(n int, fn func()) {
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		yield:    make(chan struct{}),
-		blocked:  map[*Proc]blockedOn{},
-		blockedT: map[*Task]blockedOn{},
-	}
+	return &Engine{blockedT: map[*Task]blockedOn{}}
 }
 
-// blockedOn records what a parked process or task is stalled on. The
+// blockedOn records what a parked task is stalled on. The
 // description string is assembled only if a deadlock report is actually
 // produced — parking is on the dispatch hot path and must not format.
 type blockedOn struct {
@@ -234,8 +225,8 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Run executes events until the queue empties or Stop is called. It returns
-// an error if processes remain blocked with no pending events (a simulation
-// deadlock), listing the stuck processes.
+// an error if tasks remain blocked with no pending events (a simulation
+// deadlock), listing the stuck tasks.
 func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with fire time <= tmax. Virtual time never
@@ -273,23 +264,19 @@ func (e *Engine) RunUntil(tmax float64) error {
 		e.stopped = false // consume the stop so the engine can be resumed
 		return nil
 	}
-	if len(e.blocked) > 0 || len(e.blockedT) > 0 {
+	if len(e.blockedT) > 0 {
 		return e.deadlockErr()
 	}
 	return nil
 }
 
-// deadlockErr builds the blocked-process report for RunUntil. It lives
+// deadlockErr builds the blocked-task report for RunUntil. It lives
 // outside the event loop so the hot-path call-graph closure excludes
 // this cold, allocation-heavy error path.
 //
 //pfsim:allocok cold error path: runs once, right before the simulation aborts
 func (e *Engine) deadlockErr() error {
-	names := make([]string, 0, len(e.blocked)+len(e.blockedT))
-	//pfsim:orderok — names are sorted below before they reach the error
-	for p, on := range e.blocked {
-		names = append(names, fmt.Sprintf("%s (%s %s)", p.Name(), on.verb, on.what))
-	}
+	names := make([]string, 0, len(e.blockedT))
 	//pfsim:orderok — names are sorted below before they reach the error
 	for t, on := range e.blockedT {
 		names = append(names, fmt.Sprintf("%s (%s %s)", t.Name(), on.verb, on.what))
@@ -304,10 +291,6 @@ func (e *Engine) deadlockErr() error {
 // that count — O(1), where earlier revisions scanned the whole heap on
 // every call.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// LiveProcs reports the number of processes that have started and not yet
-// finished.
-func (e *Engine) LiveProcs() int { return e.procs }
 
 // LiveTasks reports the number of inline tasks that have started and not
 // yet finished.

@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -144,31 +142,42 @@ func TestStop(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var times []float64
-	e.Spawn("sleeper", func(p *Proc) {
-		times = append(times, p.Now())
-		p.Sleep(1.5)
-		times = append(times, p.Now())
-		p.Sleep(0.5)
-		times = append(times, p.Now())
+	e.StartTask(0, "sleeper", -1, func(tk *Task) {
+		times = append(times, tk.Now())
+		tk.Sleep(1.5, func() {
+			times = append(times, tk.Now())
+			tk.Sleep(0.5, func() {
+				times = append(times, tk.Now())
+				tk.Finish()
+			})
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0, 1.5, 2.0}
+	if len(times) != len(want) {
+		t.Fatalf("times = %v, want %v", times, want)
+	}
 	for i, w := range want {
 		if times[i] != w {
 			t.Errorf("times[%d] = %v, want %v", i, times[i], w)
 		}
 	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("live procs = %d", e.LiveProcs())
+	if e.LiveTasks() != 0 {
+		t.Errorf("live tasks = %d", e.LiveTasks())
 	}
 }
 
+// TestSpawnAfter: a task started with a delay runs its body at that
+// virtual time.
 func TestSpawnAfter(t *testing.T) {
 	e := NewEngine()
 	start := -1.0
-	e.SpawnAfter(3, "late", func(p *Proc) { start = p.Now() })
+	e.StartTask(3, "late", -1, func(tk *Task) {
+		start = tk.Now()
+		tk.Finish()
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +192,14 @@ func TestManyProcsDeterministic(t *testing.T) {
 		var log []string
 		for i := 0; i < 20; i++ {
 			i := i
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Sleep(float64(i % 5))
-				log = append(log, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
-				p.Sleep(float64(i % 3))
-				log = append(log, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+			e.StartTask(0, "p", i, func(tk *Task) {
+				tk.Sleep(float64(i%5), func() {
+					log = append(log, fmt.Sprintf("%s@%v", tk.Name(), tk.Now()))
+					tk.Sleep(float64(i%3), func() {
+						log = append(log, fmt.Sprintf("%s@%v", tk.Name(), tk.Now()))
+						tk.Finish()
+					})
+				})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -199,6 +211,11 @@ func TestManyProcsDeterministic(t *testing.T) {
 	if strings.Join(a, ",") != strings.Join(b, ",") {
 		t.Error("two identical runs diverged")
 	}
+	// Same-instant wakes fire in schedule order: p0 and p5 (both i%5 == 0)
+	// log at t=0 in start order, ahead of every later instant.
+	if len(a) != 40 || a[0] != "p0@0" || a[1] != "p5@0" {
+		t.Errorf("log = %v, want 40 entries starting p0@0, p5@0", a)
+	}
 }
 
 func TestSignalBroadcast(t *testing.T) {
@@ -206,36 +223,36 @@ func TestSignalBroadcast(t *testing.T) {
 	s := e.NewSignal("go")
 	var woke []string
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Wait(s)
-			woke = append(woke, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+		e.StartTask(0, "w", i, func(tk *Task) {
+			s.Await(tk, func() {
+				woke = append(woke, fmt.Sprintf("%s@%v", tk.Name(), tk.Now()))
+				tk.Finish()
+			})
 		})
 	}
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(2)
-		s.Fire()
-		s.Fire() // double fire ok
+	e.StartTask(0, "firer", -1, func(tk *Task) {
+		tk.Sleep(2, func() {
+			s.Fire()
+			s.Fire() // double fire ok
+			tk.Finish()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(woke) != 3 {
-		t.Fatalf("woke = %v", woke)
+	if got := strings.Join(woke, ","); got != "w0@2,w1@2,w2@2" {
+		t.Errorf("woke = %s, want w0@2,w1@2,w2@2", got)
 	}
-	for _, w := range woke {
-		if !strings.HasSuffix(w, "@2") {
-			t.Errorf("waiter woke at wrong time: %s", w)
-		}
-	}
-	// Waiting on an already-fired signal returns immediately.
+	// Awaiting an already-fired signal continues immediately.
 	late := false
-	e.Spawn("late", func(p *Proc) {
-		p.Wait(s)
-		late = true
-		if p.Now() != 2 {
-			t.Errorf("late waiter at %v", p.Now())
-		}
+	e.StartTask(0, "late", -1, func(tk *Task) {
+		s.Await(tk, func() {
+			late = true
+			if tk.Now() != 2 {
+				t.Errorf("late waiter at %v", tk.Now())
+			}
+			tk.Finish()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -249,30 +266,32 @@ func TestWaitAll(t *testing.T) {
 	e := NewEngine()
 	s1, s2 := e.NewSignal("a"), e.NewSignal("b")
 	done := -1.0
-	e.Spawn("waiter", func(p *Proc) {
-		p.WaitAll(s1, s2)
-		done = p.Now()
+	e.StartTask(0, "waiter", -1, func(tk *Task) {
+		AwaitAll(tk, []*Signal{s1, s2}, func() {
+			done = tk.Now()
+			tk.Finish()
+		})
 	})
-	e.Spawn("f1", func(p *Proc) { p.Sleep(1); s1.Fire() })
-	e.Spawn("f2", func(p *Proc) { p.Sleep(3); s2.Fire() })
+	e.Schedule(1, s1.Fire)
+	e.Schedule(3, s2.Fire)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if done != 3 {
-		t.Errorf("WaitAll completed at %v, want 3", done)
+		t.Errorf("AwaitAll completed at %v, want 3", done)
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
-	e.Spawn("stuck", func(p *Proc) { p.Wait(s) })
+	e.StartTask(0, "stuck", -1, func(tk *Task) { s.Await(tk, tk.Finish) })
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
 	if !strings.Contains(err.Error(), "stuck") {
-		t.Errorf("deadlock error should name the process: %v", err)
+		t.Errorf("deadlock error should name the task: %v", err)
 	}
 }
 
@@ -281,13 +300,15 @@ func TestResourceFIFO(t *testing.T) {
 	r := e.NewResource("disk", 1)
 	var order []string
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			p.Sleep(float64(i) * 0.001) // stagger arrivals
-			r.Acquire(p)
-			order = append(order, fmt.Sprintf("%s@%.3f", p.Name(), p.Now()))
-			p.Sleep(1)
-			r.Release()
+		// Staggered arrivals.
+		e.StartTask(float64(i)*0.001, "c", i, func(tk *Task) {
+			r.AcquireTask(tk, func() {
+				order = append(order, fmt.Sprintf("%s@%.3f", tk.Name(), tk.Now()))
+				tk.Sleep(1, func() {
+					r.Release()
+					tk.Finish()
+				})
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -312,10 +333,11 @@ func TestResourceConcurrency(t *testing.T) {
 	r := e.NewResource("server", 3)
 	finish := map[string]float64{}
 	for i := 0; i < 6; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			r.Use(p, 1)
-			finish[p.Name()] = p.Now()
+		e.StartTask(0, "c", i, func(tk *Task) {
+			r.UseTask(tk, 1, func() {
+				finish[tk.Name()] = tk.Now()
+				tk.Finish()
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -352,21 +374,28 @@ func TestResourcePanics(t *testing.T) {
 	r.Release()
 }
 
+// TestNestedSpawn: a task started from inside another task's continuation
+// runs on the same engine, and the parent resumes when the child signals.
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	var childTime float64
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(1)
-		done := e.NewSignal("child-done")
-		e.Spawn("child", func(c *Proc) {
-			c.Sleep(2)
-			childTime = c.Now()
-			done.Fire()
+	e.StartTask(0, "parent", -1, func(p *Task) {
+		p.Sleep(1, func() {
+			done := e.NewSignal("child-done")
+			e.StartTask(0, "child", -1, func(c *Task) {
+				c.Sleep(2, func() {
+					childTime = c.Now()
+					done.Fire()
+					c.Finish()
+				})
+			})
+			done.Await(p, func() {
+				if p.Now() != 3 {
+					t.Errorf("parent resumed at %v, want 3", p.Now())
+				}
+				p.Finish()
+			})
 		})
-		p.Wait(done)
-		if p.Now() != 3 {
-			t.Errorf("parent resumed at %v, want 3", p.Now())
-		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -378,17 +407,17 @@ func TestNestedSpawn(t *testing.T) {
 
 func TestProcDone(t *testing.T) {
 	e := NewEngine()
-	p := e.Spawn("quick", func(p *Proc) {})
-	if p.Done() {
+	tk := e.StartTask(0, "quick", -1, func(tk *Task) { tk.Finish() })
+	if tk.Done() {
 		t.Error("done before run")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if !tk.Done() {
 		t.Error("not done after run")
 	}
-	if p.Engine() != e {
+	if tk.Engine() != e {
 		t.Error("Engine() mismatch")
 	}
 }
@@ -542,69 +571,6 @@ func TestRescheduleNaNPanics(t *testing.T) {
 	e.Reschedule(ev, math.NaN())
 }
 
-// TestDrainKillsParkedProcs: a stopped run leaves processes parked on
-// their resume channels (sleepers, signal waiters, resource queuers, and
-// spawns whose start event never fired); Drain must unwind every one so
-// no goroutine outlives the engine, and a completed run's Drain is a
-// no-op.
-func TestDrainKillsParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine()
-	sig := e.NewSignal("never")
-	res := e.NewResource("gate", 1)
-	e.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
-	e.Spawn("waiter", func(p *Proc) { p.Wait(sig) })
-	e.Spawn("holder", func(p *Proc) { res.Use(p, 100) })
-	e.Spawn("queuer", func(p *Proc) { res.Use(p, 1) })
-	e.SpawnAfter(50, "late", func(p *Proc) { p.Sleep(1) })
-	e.Schedule(5, e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveProcs() != 5 {
-		t.Fatalf("live procs after stop = %d, want 5", e.LiveProcs())
-	}
-	e.Drain()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("live procs after drain = %d, want 0", e.LiveProcs())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("drain leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	// Drain abandons the simulation wholesale: the killed sleepers' wake
-	// events and the retired spawn's start event are cancelled, so
-	// resuming the drained engine is a harmless no-op rather than a hang
-	// (a wake event would block forever handing a token to an unwound
-	// goroutine) or a double-spawn.
-	if e.Pending() != 0 {
-		t.Fatalf("drained engine still has %d queued events", e.Pending())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("resuming a drained engine: %v", err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("resumed drained engine revived procs: %d", e.LiveProcs())
-	}
-
-	// A drained engine can still be inspected and a fresh run on a new
-	// engine is unaffected; Drain on a cleanly finished engine is a no-op.
-	e2 := NewEngine()
-	done := false
-	e2.Spawn("ok", func(p *Proc) { p.Sleep(1); done = true })
-	if err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e2.Drain()
-	if !done || e2.LiveProcs() != 0 {
-		t.Fatal("normal run perturbed by no-op drain")
-	}
-}
-
 // TestSetPollFiresPerEventBatch: the poll hook runs every n fired
 // events, injects nothing, and can stop the engine mid-run; removal
 // works.
@@ -647,34 +613,5 @@ func TestSetPollFiresPerEventBatch(t *testing.T) {
 	}
 	if ran != 10 {
 		t.Errorf("stop via poll ran %d events, want 10", ran)
-	}
-}
-
-// TestDrainSurvivesBlockingDefer: a process body whose defer calls a
-// blocking method must still unwind cleanly under Drain — the deferred
-// Sleep re-panics the kill sentinel instead of yielding for real, which
-// would hand Drain a token it would misread as the goroutine's exit.
-func TestDrainSurvivesBlockingDefer(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine()
-	e.Spawn("deferred-sleeper", func(p *Proc) {
-		defer func() { p.Sleep(1) }() // blocking cleanup: must not wedge Drain
-		p.Sleep(100)
-	})
-	e.Schedule(5, e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("live procs after drain = %d, want 0", e.LiveProcs())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("blocking defer leaked a goroutine: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // TestTaskSleepChain: a task's continuation chain advances virtual time
-// exactly like a sleeping process, and Finish retires it.
+// one Sleep at a time, and Finish retires it.
 func TestTaskSleepChain(t *testing.T) {
 	e := NewEngine()
 	var times []float64
@@ -44,8 +45,7 @@ func TestTaskSleepChain(t *testing.T) {
 }
 
 // TestTaskAwaitFiredIsSynchronous: awaiting an already-fired signal runs
-// the continuation inline without touching the event queue — the same
-// no-yield fast path as Proc.Wait on a fired signal.
+// the continuation inline without touching the event queue.
 func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("up")
@@ -63,33 +63,34 @@ func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestSignalMixedWaitersFIFO parks shim processes and inline tasks on one
-// signal in interleaved order: Fire must wake them strictly in park order,
-// so the two dispatch modes compose without reordering anything.
+// TestSignalMixedWaitersFIFO parks tracked tasks and an untracked OnFired
+// subscription on one signal in interleaved order: Fire must wake them
+// strictly in park order, all at the fire instant.
 func TestSignalMixedWaitersFIFO(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("go")
 	var order []string
-	e.Spawn("p0", func(p *Proc) {
-		p.Wait(s)
-		order = append(order, p.Name())
-	})
-	e.StartTask(0, "t", 1, func(tk *Task) {
+	woke := func(name string) { order = append(order, fmt.Sprintf("%s@%v", name, e.Now())) }
+	e.StartTask(0, "t", 0, func(tk *Task) {
 		s.Await(tk, func() {
-			order = append(order, tk.Name())
+			woke(tk.Name())
 			tk.Finish()
 		})
 	})
-	e.Spawn("p2", func(p *Proc) {
-		p.Sleep(0) // park on the signal after t1 (spawn order alone would tie)
-		p.Wait(s)
-		order = append(order, p.Name())
+	e.Schedule(0, func() { s.OnFired(func() { woke("sub1") }) })
+	e.StartTask(0, "t", 2, func(tk *Task) {
+		tk.Sleep(0, func() { // park after sub1 (start order alone would tie)
+			s.Await(tk, func() {
+				woke(tk.Name())
+				tk.Finish()
+			})
+		})
 	})
 	e.Schedule(1, s.Fire)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p0", "t1", "p2"}
+	want := []string{"t0@1", "sub1@1", "t2@1"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -124,62 +125,73 @@ func TestOnFiredSubscription(t *testing.T) {
 	}
 }
 
-// TestAwaitAllMatchesWaitAll runs the same scattered fire schedule against
-// a task using AwaitAll and a process using WaitAll: both must resume at
-// the same instant (the sequential in-order wait semantics).
+// TestAwaitAllMatchesWaitAll pins AwaitAll's sequential in-order wait
+// semantics against a scattered fire schedule: b fires first, then c,
+// then a. The in-order scan parks on a only; when a fires at t=3, b and c
+// are already up and are skipped synchronously, so the task resumes
+// inside a's wake event — five events in all, and no second park.
 func TestAwaitAllMatchesWaitAll(t *testing.T) {
-	run := func(useTask bool) float64 {
-		e := NewEngine()
-		sigs := []*Signal{e.NewSignal("a"), e.NewSignal("b"), e.NewSignal("c")}
-		// b fires first, then c, then a: the in-order scan parks on a, then
-		// skips b synchronously, then parks on c only if it is still down.
-		e.Schedule(1, sigs[1].Fire)
-		e.Schedule(2, sigs[2].Fire)
-		e.Schedule(3, sigs[0].Fire)
-		var resumed float64
-		if useTask {
-			e.StartTask(0, "t", -1, func(tk *Task) {
-				AwaitAll(tk, sigs, func() {
-					resumed = tk.Now()
-					tk.Finish()
-				})
-			})
-		} else {
-			e.Spawn("p", func(p *Proc) {
-				p.WaitAll(sigs...)
-				resumed = p.Now()
-			})
+	e := NewEngine()
+	sigs := []*Signal{e.NewSignal("a"), e.NewSignal("b"), e.NewSignal("c")}
+	var log []string
+	fire := func(s *Signal) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("fire %s@%v", s.name, e.Now()))
+			s.Fire()
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return resumed
 	}
-	taskAt, procAt := run(true), run(false)
-	if taskAt != procAt || taskAt != 3 {
-		t.Errorf("AwaitAll resumed at %v, WaitAll at %v, want both 3", taskAt, procAt)
+	e.Schedule(1, fire(sigs[1]))
+	e.Schedule(2, fire(sigs[2]))
+	e.Schedule(3, fire(sigs[0]))
+	events := 0
+	e.SetPoll(1, func() { events++ })
+	e.StartTask(0, "t", -1, func(tk *Task) {
+		AwaitAll(tk, sigs, func() {
+			log = append(log, fmt.Sprintf("resume@%v", tk.Now()))
+			tk.Finish()
+		})
+		if got := len(sigs[0].waiters); got != 1 {
+			t.Errorf("parked on a %d times, want 1", got)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "fire b@1,fire c@2,fire a@3,resume@3"
+	if got := strings.Join(log, ","); got != want {
+		t.Errorf("log = %s, want %s", got, want)
+	}
+	// start, three fires, one wake.
+	if events != 5 {
+		t.Errorf("fired %d events, want 5", events)
 	}
 }
 
-// TestResourceMixedFIFO alternates shim processes and tasks through a
-// capacity-1 resource: slots must be granted strictly in arrival order,
-// with the uncontended first arrival taking the synchronous fast path.
+// TestResourceMixedFIFO alternates UseTask holders and explicit
+// AcquireTask/Release holders through a capacity-1 resource: slots must
+// be granted strictly in arrival order, the uncontended first arrival
+// taking the synchronous fast path, each release handing the slot to the
+// next waiter at the release instant.
 func TestResourceMixedFIFO(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource("mds", 1)
 	var order []string
+	done := func(tk *Task) {
+		order = append(order, fmt.Sprintf("%s@%v", tk.Name(), tk.Now()))
+		tk.Finish()
+	}
 	for i := 0; i < 4; i++ {
-		i := i
 		if i%2 == 0 {
-			e.SpawnIndexed(float64(i)*0.001, "p", i, func(p *Proc) {
-				r.Use(p, 1)
-				order = append(order, p.Name())
+			e.StartTask(float64(i)*0.001, "u", i, func(tk *Task) {
+				r.UseTask(tk, 1, func() { done(tk) })
 			})
 		} else {
-			e.StartTask(float64(i)*0.001, "t", i, func(tk *Task) {
-				r.UseTask(tk, 1, func() {
-					order = append(order, tk.Name())
-					tk.Finish()
+			e.StartTask(float64(i)*0.001, "a", i, func(tk *Task) {
+				r.AcquireTask(tk, func() {
+					tk.Sleep(1, func() {
+						r.Release()
+						done(tk)
+					})
 				})
 			})
 		}
@@ -187,7 +199,7 @@ func TestResourceMixedFIFO(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p0", "t1", "p2", "t3"}
+	want := []string{"u0@1", "a1@2", "u2@3", "a3@4"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -201,8 +213,8 @@ func TestResourceMixedFIFO(t *testing.T) {
 	}
 }
 
-// TestTaskDeadlockReport: stuck tasks appear in the deadlock error in the
-// same format as stuck processes, merged and sorted with them.
+// TestTaskDeadlockReport: every stuck task appears in the deadlock error
+// with what it is blocked on, sorted by name.
 func TestTaskDeadlockReport(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
@@ -210,9 +222,10 @@ func TestTaskDeadlockReport(t *testing.T) {
 	e.StartTask(0, "a-task", 7, func(tk *Task) {
 		s.Await(tk, tk.Finish)
 	})
-	e.Spawn("b-proc", func(p *Proc) {
-		r.Acquire(p)
-		p.Wait(s) // holds the slot forever
+	e.StartTask(0, "b-task", -1, func(tk *Task) {
+		r.AcquireTask(tk, func() {
+			s.Await(tk, tk.Finish) // holds the slot forever
+		})
 	})
 	e.StartTask(0, "c-task", -1, func(tk *Task) {
 		r.AcquireTask(tk, tk.Finish)
@@ -225,58 +238,13 @@ func TestTaskDeadlockReport(t *testing.T) {
 	for _, frag := range []string{
 		"3 blocked process(es)",
 		`a-task7 (waiting never)`,
-		`b-proc (waiting never)`,
+		`b-task (waiting never)`,
 		`c-task (queued on narrow)`,
+		`[a-task7 (waiting never) b-task (waiting never) c-task (queued on narrow)]`,
 	} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("deadlock report %q missing %q", msg, frag)
 		}
-	}
-}
-
-// TestDrainRetiresTasks: draining a stopped engine forgets parked tasks —
-// no continuation may run afterwards, the engine is inert, and the
-// blocked-task tracking is cleared so a later Run does not re-report them.
-func TestDrainRetiresTasks(t *testing.T) {
-	e := NewEngine()
-	s := e.NewSignal("never")
-	r := e.NewResource("held", 1)
-	resumed := 0
-	for i := 0; i < 3; i++ {
-		e.StartTask(0, "sig", i, func(tk *Task) {
-			s.Await(tk, func() { resumed++ })
-		})
-		e.StartTask(0, "res", i, func(tk *Task) {
-			r.AcquireTask(tk, func() { resumed++ })
-		})
-	}
-	e.StartTask(0, "sleeper", -1, func(tk *Task) {
-		tk.Sleep(1e9, func() { resumed++ })
-	})
-	e.Schedule(1, e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveTasks() == 0 {
-		t.Fatal("tasks finished before drain; test lost its subjects")
-	}
-	e.Drain()
-	if e.LiveTasks() != 0 {
-		t.Errorf("LiveTasks = %d after Drain, want 0", e.LiveTasks())
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after Drain, want 0", e.Pending())
-	}
-	// The drained engine is inert: Run returns immediately without a
-	// deadlock report — the blocked-task tracking died with the tasks. (The
-	// resource slot was granted to the first arrival synchronously, so its
-	// continuation ran before the stop; resumed counts exactly that one.)
-	before := resumed
-	if err := e.Run(); err != nil {
-		t.Fatalf("drained engine not inert: %v", err)
-	}
-	if resumed != before || resumed != 1 {
-		t.Errorf("resumed = %d (was %d); only the synchronous acquire may have run", resumed, before)
 	}
 }
 

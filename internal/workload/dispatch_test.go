@@ -47,44 +47,46 @@ func dispatchScenario() Scenario {
 	)
 }
 
-// TestDispatchModesBitIdentical is the tentpole property test: inline task
-// dispatch (the default) and the goroutine-backed Proc shim must produce
-// byte-identical simulations — every job's trajectory, every bandwidth
-// sample, every OST layout, and the solver's deterministic work counters —
-// across both solver modes and several solve-parallelism widths. Run under
-// -race in CI, this also proves the task path introduces no new sharing.
-func TestDispatchModesBitIdentical(t *testing.T) {
+// TestDispatchSolverModesBitIdentical runs the mixed dispatch scenario
+// under both solver modes and several solve-parallelism widths: every
+// run must reproduce the serial incremental run byte for byte — every
+// job's trajectory, every bandwidth sample, every OST layout — and the
+// solver's deterministic work counters must not move with the width.
+// Run under -race in CI, this also proves the task path introduces no
+// sharing between solver workers and the event loop.
+func TestDispatchSolverModesBitIdentical(t *testing.T) {
 	plat := cluster.Cab()
 	sc := dispatchScenario()
-	run := func(shim, reference bool, par int) *Result {
+	run := func(reference bool, par int) *Result {
 		res, err := RunScenarioWith(plat, sc,
-			RunOptions{Parallelism: par, UseProcShim: shim},
+			RunOptions{Parallelism: par},
 			func(sys *lustre.System) { sys.Net().UseReferenceSolver(reference) })
 		if err != nil {
-			t.Fatalf("shim=%v reference=%v par=%d: %v", shim, reference, par, err)
+			t.Fatalf("reference=%v par=%d: %v", reference, par, err)
 		}
 		return res
 	}
+	base := run(false, 1)
 	for _, reference := range []bool{false, true} {
+		serial := run(reference, 1)
 		for _, par := range []int{1, 2, 4} {
-			tasks := run(false, reference, par)
-			shim := run(true, reference, par)
-			if math.Float64bits(tasks.Makespan) != math.Float64bits(shim.Makespan) {
-				t.Errorf("reference=%v par=%d: makespan %v (tasks) vs %v (shim)",
-					reference, par, tasks.Makespan, shim.Makespan)
+			got := run(reference, par)
+			if math.Float64bits(got.Makespan) != math.Float64bits(base.Makespan) {
+				t.Errorf("reference=%v par=%d: makespan %v, want %v",
+					reference, par, got.Makespan, base.Makespan)
 			}
-			for j := range tasks.Jobs {
-				a, b := &tasks.Jobs[j], &shim.Jobs[j]
+			for j := range base.Jobs {
+				a, b := &got.Jobs[j], &base.Jobs[j]
 				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
-					t.Errorf("reference=%v par=%d job %q: finish %v (tasks) vs %v (shim)",
+					t.Errorf("reference=%v par=%d job %q: finish %v, want %v",
 						reference, par, a.Label, a.FinishedAt, b.FinishedAt)
 				}
 				if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-					t.Errorf("reference=%v par=%d job %q: write %v (tasks) vs %v (shim)",
+					t.Errorf("reference=%v par=%d job %q: write %v, want %v",
 						reference, par, a.Label, a.WriteMBs(), b.WriteMBs())
 				}
 				if math.Float64bits(a.IOR.Read.Mean()) != math.Float64bits(b.IOR.Read.Mean()) {
-					t.Errorf("reference=%v par=%d job %q: read %v (tasks) vs %v (shim)",
+					t.Errorf("reference=%v par=%d job %q: read %v, want %v",
 						reference, par, a.Label, a.IOR.Read.Mean(), b.IOR.Read.Mean())
 				}
 				if !reflect.DeepEqual(a.IOR.LayoutOSTs, b.IOR.LayoutOSTs) {
@@ -93,19 +95,20 @@ func TestDispatchModesBitIdentical(t *testing.T) {
 				}
 			}
 			// The full flow.Stats struct: a single diverging solve, link
-			// visit, or heap operation anywhere in the run fails this.
-			if tasks.Solver != shim.Solver {
-				t.Errorf("reference=%v par=%d: solver counters diverged:\ntasks %+v\nshim  %+v",
-					reference, par, tasks.Solver, shim.Solver)
+			// visit, or heap operation anywhere in the run fails this. The
+			// two solver modes do different work, so each is held to its
+			// own serial run.
+			if got.Solver != serial.Solver {
+				t.Errorf("reference=%v par=%d: solver counters diverged:\ngot    %+v\nserial %+v",
+					reference, par, got.Solver, serial.Solver)
 			}
 		}
 	}
 }
 
-// TestDispatchCancelDrainsTasks: a task-mode run cancelled mid-flight must
-// surface ctx.Err() and leave nothing behind — inline tasks retire in
-// Engine.Drain without any goroutine to unwind, so the goroutine count
-// returns to its baseline just as the shim's unwind path guarantees.
+// TestDispatchCancelDrainsTasks: a run cancelled mid-flight must surface
+// ctx.Err() and leave nothing behind — the abandoned tasks own no
+// goroutine, so the goroutine count returns to its baseline.
 func TestDispatchCancelDrainsTasks(t *testing.T) {
 	plat := cluster.Cab()
 	sc := dispatchScenario()
@@ -136,12 +139,12 @@ func TestDispatchCancelDrainsTasks(t *testing.T) {
 	if stoppedAt == 0 {
 		t.Error("cancel event never fired: engine did not reach t=1")
 	}
-	// Task mode parks no goroutines, but the solver pool and runtime still
-	// reap asynchronously — poll briefly like the sharded shim test does.
+	// Tasks park no goroutines, but the solver pool and runtime still
+	// reap asynchronously — poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines {
 		if time.Now().After(deadline) {
-			t.Fatalf("cancelled task-mode run leaked goroutines: %d before, %d after",
+			t.Fatalf("cancelled run leaked goroutines: %d before, %d after",
 				goroutines, runtime.NumGoroutine())
 		}
 		runtime.Gosched()

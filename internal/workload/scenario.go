@@ -418,20 +418,11 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	if err != nil {
 		return nil, err
 	}
-	if opts.UseProcShim {
-		for i := range cfgs {
-			cfgs[i].UseProcShim = true
-		}
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = plat.Seed
 	}
 	eng := sim.NewEngine()
-	// A run stopped early (cancellation, launch failure) leaves simulated
-	// processes parked on their resume channels; drain them on every exit
-	// so nothing pins the engine. No-op after a normal completion.
-	defer eng.Drain()
 	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(seed).Fork(s.seedHash(cfgs)))
 	if err != nil {
 		return nil, err
@@ -485,8 +476,8 @@ func launchScenario(sys *lustre.System, s Scenario, cfgs []ior.Config, res *Resu
 			}
 			ls.running[i] = rj
 			res.Jobs[i].IOR = rj.Result
-			// A subscription, not a watcher process: the completion stamp
-			// needs no goroutine parked for the whole run.
+			// A subscription, not a tracked task: the completion stamp
+			// must not count as a blocked workload in deadlock reports.
 			rj.Done.OnFired(func() {
 				res.Jobs[i].FinishedAt = eng.Now()
 			})

@@ -50,8 +50,8 @@ func RunSharded(plat *cluster.Platform, shards []Scenario, seed uint64, instrume
 // workers — byte-identical results at any setting, with the wall-clock
 // win growing with the number of shards an instant touches. Ctx is
 // polled every few thousand fired events across the (single, long)
-// engine run; on cancellation the engine stops, its processes drain,
-// and the call returns ctx.Err(). Instrument hooks run after the
+// engine run; on cancellation the engine stops and the call returns
+// ctx.Err(). Instrument hooks run after the
 // options are applied and may override them.
 func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, instrument ...func(int, *lustre.System)) (*ShardedResult, error) {
 	if len(shards) == 0 {
@@ -70,7 +70,6 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 		seed = plat.Seed
 	}
 	eng := sim.NewEngine()
-	defer eng.Drain() // early-stopped runs park procs; see RunScenarioWith
 	net := flow.NewNet(eng)
 	if opts.Parallelism > 1 {
 		net.SetSolveParallelism(opts.Parallelism)
