@@ -92,6 +92,10 @@ var simCritical = []string{
 	"internal/lustre",
 	"internal/workload",
 	"internal/stats",
+	"internal/mpi",
+	"internal/mpiio",
+	"internal/ior",
+	"internal/plfs",
 }
 
 // SimCritical reports whether the import path names one of the

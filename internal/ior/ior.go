@@ -299,7 +299,7 @@ type job struct {
 }
 
 func (j *job) launch() *mpi.World {
-	cfg := j.cfg
+	cfg := &j.cfg
 	w := mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
 	// Shared files are allocated up front so every rank of a repetition
 	// uses the same handle; layouts are still drawn at Open time.
@@ -321,7 +321,7 @@ func (j *job) launch() *mpi.World {
 // private communicator and file per repetition, and a phase error stops
 // this rank only if it is the first error of the job.
 func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, done func()) {
-	cfg := j.cfg
+	cfg := &j.cfg
 	if rep >= cfg.Reps {
 		done()
 		return
@@ -359,7 +359,7 @@ func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, d
 // barrier/reduce brackets around open-write-close and the read pass, with
 // rank 0 recording the aggregate bandwidths.
 func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := j.cfg
+	cfg := &j.cfg
 	t := r.Task()
 	readPhase := func() {
 		if !cfg.ReadFile {
@@ -415,7 +415,7 @@ func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
 
 // doWriteK issues the rank's write for the configured access pattern.
 func (j *job) doWriteK(r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := j.cfg
+	cfg := &j.cfg
 	per := cfg.PerRankMB()
 	switch {
 	case cfg.FilePerProc:

@@ -127,22 +127,31 @@ type Comm struct {
 	label string
 	ranks []int       // world rank ids, comm-rank order
 	index map[int]int // world rank → comm rank
+	// byWorld lists comm ranks in ascending world-rank order, the order
+	// AllreduceSumK adds in; nil when that is comm order already.
+	byWorld []int
 
-	seq     map[int]int // world rank → collective calls issued
-	pending map[int]*rendezvous
+	seq  []int // comm rank → collective calls issued
+	ring [2]*rendezvous
 }
 
 func newComm(w *World, label string, ranks []int) *Comm {
 	c := &Comm{
-		world:   w,
-		label:   label,
-		ranks:   ranks,
-		index:   make(map[int]int, len(ranks)),
-		seq:     make(map[int]int, len(ranks)),
-		pending: make(map[int]*rendezvous),
+		world: w,
+		label: label,
+		ranks: ranks,
+		index: make(map[int]int, len(ranks)),
+		seq:   make([]int, len(ranks)),
 	}
 	for i, r := range ranks {
 		c.index[r] = i
+	}
+	if !sort.IntsAreSorted(ranks) {
+		c.byWorld = make([]int, len(ranks))
+		for i := range c.byWorld {
+			c.byWorld[i] = i
+		}
+		sort.Slice(c.byWorld, func(a, b int) bool { return ranks[c.byWorld[a]] < ranks[c.byWorld[b]] })
 	}
 	return c
 }
@@ -172,61 +181,106 @@ func (c *Comm) WorldRanks() []int {
 func (c *Comm) NodeOfWorldRank(wr int) int { return c.world.nodeOf[wr] }
 
 // rendezvous matches one collective call across the communicator.
+//
+// Each communicator keeps a ring of two, collective seq using ring[seq&1].
+// Two suffice: no rank can arrive at collective seq+2 until every rank
+// has arrived at seq+1, which each does only after resuming from seq and
+// reading its result, so a slot is never reused while a waiter of its
+// previous collective has yet to read it.
 type rendezvous struct {
 	arrived int
-	sig     *sim.Signal
-	vals    map[int]float64
-	result  any
+	sig     *sim.Signal // re-armed by the first arriver of each use
+	vals    []float64   // comm rank → contribution
+	f       float64     // the typed reductions' result
+	result  any         // the generic collectives' result
 }
 
 // arrive registers one rank's contribution to its next collective and
 // reports whether this rank completed the rendezvous (it is then the
 // "last arriver" responsible for finalizing and releasing the others).
+//
+//pfsim:hotpath
 func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
-	if c.RankOf(r) < 0 {
-		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label))
+	i := c.RankOf(r)
+	if i < 0 {
+		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label)) //pfsim:allocok crash path: the formatted panic message never allocates on a live run
 	}
-	idx := c.seq[r.id]
-	c.seq[r.id]++
-	rv = c.pending[idx]
+	seq := c.seq[i]
+	c.seq[i]++
+	rv = c.ring[seq&1]
 	if rv == nil {
-		rv = &rendezvous{
-			sig:  c.world.eng.NewSignal(fmt.Sprintf("%s-coll-%d", c.label, idx)),
-			vals: make(map[int]float64, len(c.ranks)),
+		rv = &rendezvous{ //pfsim:allocok ring fill on the slot's first use, reused for the comm's lifetime
+			sig:  c.world.eng.NewSignal(c.label + "-coll-"), //pfsim:allocok ring fill (see above)
+			vals: make([]float64, len(c.ranks)),             //pfsim:allocok ring fill (see above)
 		}
-		c.pending[idx] = rv
+		c.ring[seq&1] = rv
 	}
-	rv.vals[r.id] = val
+	if rv.arrived == 0 {
+		rv.sig.Rearm(seq)
+	}
+	rv.vals[i] = val
 	rv.arrived++
 	if rv.arrived < len(c.ranks) {
 		return rv, false
 	}
-	delete(c.pending, idx)
+	rv.arrived = 0
 	return rv, true
 }
 
-// collectiveK is the common engine for synchronising operations: every
-// rank contributes a value; the last arriver computes the result via
-// finalize (receiving contributions keyed by world rank), pays the tree
-// latency (one scheduled event), fires the signal releasing the others,
-// and then continues inline before the woken waiters' events fire. Every
-// rank receives the result through its continuation k.
-func (c *Comm) collectiveK(r *Rank, val float64, finalize func(map[int]float64) any, k func(any)) {
+// release is the last arriver's side of a rendezvous: pay the tree
+// latency (one scheduled event), fire the signal releasing the others,
+// then continue inline with k before the woken waiters' events fire.
+//
+//pfsim:hotpath
+func (c *Comm) release(r *Rank, rv *rendezvous, k func()) {
+	if lat := c.latency(); lat > 0 {
+		r.task.Sleep(lat, func() { //pfsim:allocok the last arriver's release closure, one per collective
+			rv.sig.Fire()
+			k()
+		})
+		return
+	}
+	rv.sig.Fire()
+	k()
+}
+
+// collectiveK is the generic path for the collectives whose result is
+// not a float64: every rank contributes a value; the last arriver
+// computes the result via finalize (receiving contributions in comm-rank
+// order) and releases the others. Every rank receives the result through
+// its continuation k.
+func (c *Comm) collectiveK(r *Rank, val float64, finalize func([]float64) any, k func(any)) {
 	rv, last := c.arrive(r, val)
 	if !last {
 		rv.sig.Await(r.task, func() { k(rv.result) })
 		return
 	}
 	rv.result = finalize(rv.vals)
-	release := func() {
-		rv.sig.Fire()
-		k(rv.result)
-	}
-	if lat := c.latency(); lat > 0 {
-		r.task.Sleep(lat, release)
+	c.release(r, rv, func() { k(rv.result) })
+}
+
+// reduceK is the shared float64 path of the typed reductions: op folds
+// the contributions, indexed by comm rank, into the result every rank
+// receives through k. The last arriver releases the others as release
+// does, without wrapping k in a second closure.
+//
+//pfsim:hotpath
+func (c *Comm) reduceK(r *Rank, v float64, op func(*Comm, []float64) float64, k func(float64)) {
+	rv, last := c.arrive(r, v)
+	if !last {
+		rv.sig.Await(r.task, func() { k(rv.f) }) //pfsim:allocok the per-waiter resume closure
 		return
 	}
-	release()
+	rv.f = op(c, rv.vals)
+	if lat := c.latency(); lat > 0 {
+		r.task.Sleep(lat, func() { //pfsim:allocok the last arriver's release closure, one per collective
+			rv.sig.Fire()
+			k(rv.f)
+		})
+		return
+	}
+	rv.sig.Fire()
+	k(rv.f)
 }
 
 func (c *Comm) latency() float64 {
@@ -238,9 +292,9 @@ func (c *Comm) latency() float64 {
 	return c.world.CollectiveLatency * stages
 }
 
-func finalizeBarrier(map[int]float64) any { return nil }
-
-func finalizeMin(vals map[int]float64) any {
+// reduceMin and reduceMax scan in comm-rank order, so among equal
+// contributions (-0 and +0) the lowest comm rank's wins.
+func reduceMin(_ *Comm, vals []float64) float64 {
 	min := math.Inf(1)
 	for _, x := range vals {
 		if x < min {
@@ -250,7 +304,7 @@ func finalizeMin(vals map[int]float64) any {
 	return min
 }
 
-func finalizeMax(vals map[int]float64) any {
+func reduceMax(_ *Comm, vals []float64) float64 {
 	max := math.Inf(-1)
 	for _, x := range vals {
 		if x > max {
@@ -260,54 +314,61 @@ func finalizeMax(vals map[int]float64) any {
 	return max
 }
 
-func finalizeSum(vals map[int]float64) any {
-	// Sum in world-rank order for bit-exact determinism.
-	keys := make([]int, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+// reduceSum adds in ascending world-rank order for bit-exact determinism
+// whatever the comm order.
+func reduceSum(c *Comm, vals []float64) float64 {
 	sum := 0.0
-	for _, k := range keys {
-		sum += vals[k]
+	if c.byWorld == nil {
+		for _, x := range vals {
+			sum += x
+		}
+		return sum
+	}
+	for _, i := range c.byWorld {
+		sum += vals[i]
 	}
 	return sum
 }
 
-func (c *Comm) finalizeGather(vals map[int]float64) any {
-	out := make([]float64, len(c.ranks))
-	for i, wr := range c.ranks {
-		out[i] = vals[wr]
-	}
+func finalizeGather(vals []float64) any {
+	out := make([]float64, len(vals))
+	copy(out, vals)
 	return out
 }
 
 // BarrierK runs k once every comm member has arrived.
+//
+//pfsim:hotpath
 func (c *Comm) BarrierK(r *Rank, k func()) {
-	c.collectiveK(r, 0, finalizeBarrier, func(any) { k() })
+	rv, last := c.arrive(r, 0)
+	if !last {
+		rv.sig.Await(r.task, k)
+		return
+	}
+	c.release(r, rv, k)
 }
 
 // AllreduceMinK delivers the minimum contribution across the communicator
 // to k.
 func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeMin, func(res any) { k(res.(float64)) })
+	c.reduceK(r, v, reduceMin, k)
 }
 
 // AllreduceMaxK delivers the maximum contribution across the communicator
 // to k.
 func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeMax, func(res any) { k(res.(float64)) })
+	c.reduceK(r, v, reduceMax, k)
 }
 
 // AllreduceSumK delivers the sum of contributions across the communicator
 // to k.
 func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeSum, func(res any) { k(res.(float64)) })
+	c.reduceK(r, v, reduceSum, k)
 }
 
 // AllGatherK delivers every rank's contribution in comm-rank order to k.
 func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) {
-	c.collectiveK(r, v, c.finalizeGather, func(res any) { k(res.([]float64)) })
+	c.collectiveK(r, v, finalizeGather, func(res any) { k(res.([]float64)) })
 }
 
 // packSplit encodes color/key into the float contribution losslessly
@@ -319,13 +380,15 @@ func packSplit(color, key int) float64 {
 	return float64(color)*(1<<21) + float64(key+(1<<20))
 }
 
-func (c *Comm) finalizeSplit(vals map[int]float64) any {
-	type member struct{ color, key, world int }
-	members := make([]member, 0, len(vals))
-	for wr, pv := range vals {
+// finalizeSplit builds the sub-communicators, returned indexed by comm
+// rank.
+func (c *Comm) finalizeSplit(vals []float64) any {
+	type member struct{ color, key, world, rank int }
+	members := make([]member, len(vals))
+	for i, pv := range vals {
 		col := int(pv / (1 << 21))
 		k := int(pv-float64(col)*(1<<21)) - (1 << 20)
-		members = append(members, member{col, k, wr})
+		members[i] = member{col, k, c.ranks[i], i}
 	}
 	sort.Slice(members, func(i, j int) bool {
 		if members[i].color != members[j].color {
@@ -336,21 +399,21 @@ func (c *Comm) finalizeSplit(vals map[int]float64) any {
 		}
 		return members[i].world < members[j].world
 	})
-	comms := make(map[int]*Comm)
-	byColor := make(map[int][]int)
-	for _, m := range members {
-		byColor[m.color] = append(byColor[m.color], m.world)
-	}
-	colors := make([]int, 0, len(byColor))
-	for col := range byColor {
-		colors = append(colors, col)
-	}
-	sort.Ints(colors)
-	for _, col := range colors {
-		sub := newComm(c.world, fmt.Sprintf("%s/c%d", c.label, col), byColor[col])
-		for _, wr := range byColor[col] {
-			comms[wr] = sub
+	comms := make([]*Comm, len(vals))
+	for lo := 0; lo < len(members); {
+		hi := lo + 1
+		for hi < len(members) && members[hi].color == members[lo].color {
+			hi++
 		}
+		ranks := make([]int, hi-lo)
+		for i, m := range members[lo:hi] {
+			ranks[i] = m.world
+		}
+		sub := newComm(c.world, fmt.Sprintf("%s/c%d", c.label, members[lo].color), ranks)
+		for _, m := range members[lo:hi] {
+			comms[m.rank] = sub
+		}
+		lo = hi
 	}
 	return comms
 }
@@ -360,6 +423,6 @@ func (c *Comm) finalizeSplit(vals map[int]float64) any {
 // member must call SplitK; each receives its sub-communicator through k.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
 	c.collectiveK(r, packSplit(color, key), c.finalizeSplit, func(res any) {
-		k(res.(map[int]*Comm)[r.id])
+		k(res.([]*Comm)[c.RankOf(r)])
 	})
 }

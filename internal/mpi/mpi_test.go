@@ -171,7 +171,16 @@ func TestSplitByColor(t *testing.T) {
 	}
 }
 
+// TestSplitKeyOrdering: keys that reverse world order reverse the comm
+// ranks, and AllreduceSumK on the split comm still adds in world-rank
+// order, bit for bit — 0.1..0.4 sums to 1.0 in world order but to
+// 0.9999999999999999 in comm order.
 func TestSplitKeyOrdering(t *testing.T) {
+	vals := []float64{0.1, 0.2, 0.3, 0.4}
+	want := ((vals[0] + vals[1]) + vals[2]) + vals[3]
+	if commOrder := ((vals[3] + vals[2]) + vals[1]) + vals[0]; commOrder == want {
+		t.Fatalf("values do not tell the summation orders apart: both give %v", want)
+	}
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 4, 16, 0)
 	w.LaunchTasks(func(r *Rank, done func()) {
@@ -180,11 +189,51 @@ func TestSplitKeyOrdering(t *testing.T) {
 			if got, want := sub.RankOf(r), 3-r.ID(); got != want {
 				t.Errorf("world %d: sub rank = %d, want %d", r.ID(), got, want)
 			}
-			done()
+			sub.AllreduceSumK(r, vals[r.ID()], func(got float64) {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("world %d: sum = %v, want %v (world-rank order)", r.ID(), got, want)
+				}
+				done()
+			})
 		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !w.Done().Fired() {
+		t.Error("ranks never finished")
+	}
+}
+
+// TestAllreduceSignedZero: -0 and +0 compare equal, so which one a
+// min/max reduction returns depends on scan order; it is pinned to comm
+// order, the lowest comm rank's zero winning.
+func TestAllreduceSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		neg  bool // sign of the expected min and max
+	}{
+		{"plus-first", []float64{0, negZero, 0, negZero}, false},
+		{"minus-first", []float64{negZero, 0, negZero, 0}, true},
+	} {
+		eng := sim.NewEngine()
+		w := NewWorld(eng, len(tc.vals), 16, 0)
+		w.LaunchTasks(func(r *Rank, done func()) {
+			v := tc.vals[r.ID()]
+			w.Comm().AllreduceMinK(r, v, func(min float64) {
+				w.Comm().AllreduceMaxK(r, v, func(max float64) {
+					if min != 0 || math.Signbit(min) != tc.neg || max != 0 || math.Signbit(max) != tc.neg {
+						t.Errorf("%s: min %v max %v, want zeros with signbit %v", tc.name, min, max, tc.neg)
+					}
+					done()
+				})
+			})
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -240,32 +289,123 @@ func TestForeignRankPanics(t *testing.T) {
 	}
 }
 
+// TestRepeatedCollectivesMatchInOrder runs back-to-back reductions,
+// cycling min, max and sum, with every rank contributing a different
+// value each round. Even rounds stagger the arrivals so the last arriver
+// changes by round; odd rounds do not, so at zero latency the previous
+// round's last arriver continues inline into the next collective while
+// the others are still only scheduled to resume — the case that reuses
+// a rendezvous slot soonest. Each rank must receive its own round's
+// result.
 func TestRepeatedCollectivesMatchInOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	w := NewWorld(eng, 6, 16, 0)
-	w.LaunchTasks(func(r *Rank, done func()) {
-		var step func(i int)
-		step = func(i int) {
-			if i == 20 {
-				done()
-				return
-			}
-			w.Comm().AllreduceSumK(r, float64(i), func(got float64) {
-				if got != float64(6*i) {
-					t.Errorf("iteration %d: sum = %v", i, got)
+	const n, rounds = 6, 20
+	for _, lat := range []float64{0, DefaultCollectiveLatency} {
+		eng := sim.NewEngine()
+		w := NewWorld(eng, n, 16, 0)
+		w.CollectiveLatency = lat
+		w.LaunchTasks(func(r *Rank, done func()) {
+			var step func(i int)
+			step = func(i int) {
+				if i == rounds {
 					done()
 					return
 				}
-				step(i + 1)
-			})
+				contrib := func(id int) float64 { return float64((id+1)*(i+1) + (i%n*id)%3) }
+				reduce, want := w.Comm().AllreduceSumK, 0.0
+				switch i % 3 {
+				case 0:
+					reduce, want = w.Comm().AllreduceMinK, math.Inf(1)
+				case 1:
+					reduce, want = w.Comm().AllreduceMaxK, math.Inf(-1)
+				}
+				for id := 0; id < n; id++ {
+					switch x := contrib(id); i % 3 {
+					case 0:
+						want = math.Min(want, x)
+					case 1:
+						want = math.Max(want, x)
+					default:
+						want += x
+					}
+				}
+				arrive := func() {
+					reduce(r, contrib(r.ID()), func(got float64) {
+						if got != want {
+							t.Errorf("latency %v round %d rank %d: got %v, want %v", lat, i, r.ID(), got, want)
+						}
+						step(i + 1)
+					})
+				}
+				if i%2 == 1 {
+					arrive()
+					return
+				}
+				r.Task().Sleep(float64((r.ID()*7+i*5)%n)*1e-3, arrive)
+			}
+			step(0)
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
-		step(0)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+		if !w.Done().Fired() {
+			t.Errorf("latency %v: ranks never finished", lat)
+		}
 	}
-	if !w.Done().Fired() {
-		t.Error("ranks never finished")
+}
+
+var barrierRounds int
+
+// TestBarrierSteadyStateAllocs: once a communicator's rendezvous ring is
+// filled, a barrier round allocates nothing for the waiting ranks: they
+// park their own continuation on a re-armed signal whose waiter list
+// kept its capacity. The last arriver allocates only its release
+// closure, and only when there is latency to pay.
+func TestBarrierSteadyStateAllocs(t *testing.T) {
+	const n, perRun = 8, 10
+	for _, tc := range []struct {
+		lat      float64
+		maxPerRd float64
+	}{{0, 0}, {DefaultCollectiveLatency, 1}} {
+		eng := sim.NewEngine()
+		w := NewWorld(eng, n, 16, 0)
+		w.CollectiveLatency = tc.lat
+		ranks := make([]*Rank, n)
+		loops := make([]func(), n)
+		limit := 0
+		w.LaunchTasks(func(r *Rank, done func()) {
+			id, c := r.ID(), w.Comm()
+			ranks[id] = r
+			left := 0
+			loops[id] = func() {
+				if id == 0 {
+					barrierRounds++
+				}
+				if left++; left < limit {
+					c.BarrierK(r, loops[id])
+				}
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			limit += perRun
+			for id, r := range ranks {
+				w.Comm().BarrierK(r, loops[id])
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // fill the ring and grow the waiter lists and event pool
+		before := barrierRounds
+		allocs := testing.AllocsPerRun(20, round)
+		if got := barrierRounds - before; got != 21*perRun {
+			t.Fatalf("latency %v: ran %d barrier rounds, want %d", tc.lat, got, 21*perRun)
+		}
+		if perRd := allocs / perRun; perRd > tc.maxPerRd {
+			t.Errorf("latency %v: %.2f allocations per barrier round, want <= %v", tc.lat, perRd, tc.maxPerRd)
+		}
 	}
 }
 

@@ -345,6 +345,7 @@ func (c *Container) Ranks() int { return len(c.logs) }
 // IndexRecords sums index records across ranks.
 func (c *Container) IndexRecords() int {
 	total := 0
+	//pfsim:orderok — integer sum, exact in any order
 	for _, rl := range c.logs {
 		total += rl.records
 	}

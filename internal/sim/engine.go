@@ -72,8 +72,8 @@ type Engine struct {
 	seq     int64
 	stopped bool
 
-	tasks    int // started, unfinished inline tasks
-	blockedT map[*Task]blockedOn
+	tasks   int   // started, unfinished inline tasks
+	blocked *Task // head of the parked-task list (see park)
 
 	pollEvery int // call pollFn every this many fired events (0: never)
 	pollCount int
@@ -102,15 +102,7 @@ func (e *Engine) SetPoll(n int, fn func()) {
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{blockedT: map[*Task]blockedOn{}}
-}
-
-// blockedOn records what a parked task is stalled on. The
-// description string is assembled only if a deadlock report is actually
-// produced — parking is on the dispatch hot path and must not format.
-type blockedOn struct {
-	verb string // "waiting" (signal) or "queued on" (resource)
-	what string // the signal or resource name
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -264,7 +256,7 @@ func (e *Engine) RunUntil(tmax float64) error {
 		e.stopped = false // consume the stop so the engine can be resumed
 		return nil
 	}
-	if len(e.blockedT) > 0 {
+	if e.blocked != nil {
 		return e.deadlockErr()
 	}
 	return nil
@@ -276,10 +268,9 @@ func (e *Engine) RunUntil(tmax float64) error {
 //
 //pfsim:allocok cold error path: runs once, right before the simulation aborts
 func (e *Engine) deadlockErr() error {
-	names := make([]string, 0, len(e.blockedT))
-	//pfsim:orderok — names are sorted below before they reach the error
-	for t, on := range e.blockedT {
-		names = append(names, fmt.Sprintf("%s (%s %s)", t.Name(), on.verb, on.what))
+	var names []string
+	for t := e.blocked; t != nil; t = t.next {
+		names = append(names, fmt.Sprintf("%s (%s)", t.Name(), t.on))
 	}
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at t=%.6f: %d blocked process(es): %v",

@@ -30,7 +30,7 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		r.eng.unblock(next)
+		r.eng.unblock(next.t)
 		next.wake(r.eng)
 		return // slot stays accounted to the woken waiter
 	}

@@ -18,6 +18,11 @@ type Task struct {
 	label string
 	id    int // >= 0: appended to label on demand (lazy spawn names)
 	done  bool
+
+	// Deadlock tracking while parked (see Engine.park): the links of the
+	// engine's blocked list and what the task is stalled on.
+	prev, next *Task
+	on         blockedOn
 }
 
 // StartTask begins an inline task after delay seconds of virtual time.
@@ -87,7 +92,7 @@ func (s *Signal) Await(t *Task, k func()) {
 		k()
 		return
 	}
-	t.eng.blockedT[t] = blockedOn{verb: "waiting", what: s.name}
+	t.eng.park(t, blockedOn{sig: s})
 	s.waiters = append(s.waiters, waiter{t: t, k: k}) //pfsim:allocok waiter-list growth is bounded by the peak blocked population
 }
 
@@ -144,7 +149,7 @@ func (r *Resource) AcquireTask(t *Task, k func()) {
 		return
 	}
 	r.queue = append(r.queue, waiter{t: t, k: k}) //pfsim:allocok queue growth is bounded by the peak contention depth
-	r.eng.blockedT[t] = blockedOn{verb: "queued on", what: r.name}
+	r.eng.park(t, blockedOn{res: r})
 }
 
 // UseTask acquires the resource, holds it for service seconds, releases,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -136,7 +137,7 @@ func TestAwaitAllMatchesWaitAll(t *testing.T) {
 	var log []string
 	fire := func(s *Signal) func() {
 		return func() {
-			log = append(log, fmt.Sprintf("fire %s@%v", s.name, e.Now()))
+			log = append(log, fmt.Sprintf("fire %s@%v", s.name(), e.Now()))
 			s.Fire()
 		}
 	}
@@ -245,6 +246,119 @@ func TestTaskDeadlockReport(t *testing.T) {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("deadlock report %q missing %q", msg, frag)
 		}
+	}
+}
+
+// TestParkTwiceWakeTwice: a task that parks on a resource and then, before
+// either wakes it, on a signal is linked into the blocked list once, as
+// waiting on the signal. The signal's fire unlinks it and the resource's
+// later grant is a no-op unblock; the final deadlock report lists exactly
+// the still-blocked tasks, sorted, in the usual format.
+func TestParkTwiceWakeTwice(t *testing.T) {
+	e := NewEngine()
+	r := e.NewResource("r", 1)
+	r2 := e.NewResource("r2", 1)
+	s := e.NewSignal("s")
+	never := e.NewSignal("never")
+	blocked := func() []string {
+		var names []string
+		for tk := e.blocked; tk != nil; tk = tk.next {
+			names = append(names, tk.Name()+" ("+tk.on.String()+")")
+		}
+		sort.Strings(names)
+		return names
+	}
+	e.StartTask(0, "h", -1, func(tk *Task) {
+		r.AcquireTask(tk, func() {
+			tk.Sleep(1, func() {
+				r.Release()
+				tk.Finish()
+			})
+		})
+	})
+	e.StartTask(0, "b-holder", -1, func(tk *Task) {
+		r2.AcquireTask(tk, func() { never.Await(tk, tk.Finish) })
+	})
+	e.StartTask(0, "b", 7, func(tk *Task) { r2.AcquireTask(tk, tk.Finish) })
+	e.StartTask(0, "z", -1, func(tk *Task) { never.Await(tk, tk.Finish) })
+	woken := 0
+	e.StartTask(0.1, "a", -1, func(tk *Task) {
+		resume := func() {
+			if woken++; woken == 2 {
+				r.Release()
+				tk.Finish()
+			}
+		}
+		r.AcquireTask(tk, resume)
+		s.Await(tk, resume)
+	})
+	var mid, late []string
+	e.Schedule(0.25, func() { mid = blocked() })
+	e.Schedule(0.5, s.Fire)
+	e.Schedule(0.75, func() { late = blocked() })
+	err := e.Run()
+	if woken != 2 {
+		t.Errorf("a resumed %d times, want 2", woken)
+	}
+	if want := "[a (waiting s) b-holder (waiting never) b7 (queued on r2) z (waiting never)]"; fmt.Sprint(mid) != want {
+		t.Errorf("blocked after both parks = %v, want %s", mid, want)
+	}
+	if want := "[b-holder (waiting never) b7 (queued on r2) z (waiting never)]"; fmt.Sprint(late) != want {
+		t.Errorf("blocked after the fire = %v, want %s", late, want)
+	}
+	if err == nil {
+		t.Fatal("want deadlock error")
+	}
+	want := "sim: deadlock at t=1.000000: 3 blocked process(es): [b-holder (waiting never) b7 (queued on r2) z (waiting never)]"
+	if err.Error() != want {
+		t.Errorf("deadlock report\n got %s\nwant %s", err, want)
+	}
+}
+
+// TestSignalRearm: a fired, re-armed signal parks new waiters until its
+// next fire, keeps its waiter list's capacity, and is named by its
+// current number in deadlock reports; rearming with waiters parked panics.
+func TestSignalRearm(t *testing.T) {
+	e := NewEngine()
+	s := e.NewSignal("coll-")
+	var log []string
+	for i := 0; i < 3; i++ {
+		e.StartTask(0, "w", i, func(tk *Task) {
+			s.Await(tk, func() {
+				log = append(log, fmt.Sprintf("%s@%v", tk.Name(), tk.Now()))
+				tk.Finish()
+			})
+		})
+	}
+	e.Schedule(1, s.Fire)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	capBefore := cap(s.waiters)
+	s.Rearm(4)
+	if s.Fired() {
+		t.Fatal("re-armed signal reports fired")
+	}
+	e.StartTask(0, "x", -1, func(tk *Task) {
+		s.Await(tk, tk.Finish)
+		if cap(s.waiters) != capBefore {
+			t.Errorf("waiter capacity %d after rearm, want %d kept", cap(s.waiters), capBefore)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("want panic rearming a signal with parked waiters")
+				}
+			}()
+			s.Rearm(5)
+		}()
+	})
+	err := e.Run()
+	if got, want := strings.Join(log, ","), "w0@1,w1@1,w2@1"; got != want {
+		t.Errorf("first round resumed %s, want %s", got, want)
+	}
+	if err == nil || !strings.Contains(err.Error(), "[x (waiting coll-4)]") {
+		t.Errorf("deadlock report %v, want x waiting coll-4", err)
 	}
 }
 

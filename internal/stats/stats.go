@@ -289,20 +289,22 @@ func (h *IntHistogram) Mean() float64 {
 
 // RNG is a deterministic random source. Two RNGs built from the same seed
 // produce identical streams on every platform, which keeps all simulated
-// experiments reproducible.
+// experiments reproducible. Like the rand.Rand it wraps, an RNG is not
+// safe for concurrent use.
 type RNG struct {
 	*rand.Rand
+	perm []int // identity permutation scratch for SampleWithoutReplacement
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return &RNG{Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
 }
 
 // Fork derives an independent deterministic stream from this generator,
 // labelled by id so that forks are order-independent.
 func (r *RNG) Fork(id uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(r.Uint64()^id, id*0xbf58476d1ce4e5b9+1))}
+	return &RNG{Rand: rand.New(rand.NewPCG(r.Uint64()^id, id*0xbf58476d1ce4e5b9+1))}
 }
 
 // Normal returns a normally distributed value with the given mean and
@@ -323,20 +325,36 @@ func (r *RNG) Jitter(cv float64) float64 {
 
 // SampleWithoutReplacement returns k distinct integers drawn uniformly from
 // [0, n). It panics if k > n. The result is in random order.
+//
+// The draw is a partial Fisher-Yates shuffle over an identity table of n
+// entries, consuming exactly k IntN draws: the same draw sequence, and so
+// the same results, as building a fresh table per call. The table is
+// scratch kept on the RNG, grown on demand to the largest n seen and
+// restored to the identity before returning, so only the result slice is
+// allocated. The scratch is per-RNG state like the generator itself: an
+// RNG must not be shared between goroutines.
+//
+//pfsim:hotpath
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k > n {
-		panic(fmt.Sprintf("stats: cannot sample %d from %d", k, n))
+		panic(fmt.Sprintf("stats: cannot sample %d from %d", k, n)) //pfsim:allocok crash path: the formatted panic message never allocates on a live run
 	}
-	// Partial Fisher-Yates over an index table.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	for i := len(r.perm); i < n; i++ {
+		r.perm = append(r.perm, i) //pfsim:allocok scratch growth to the largest n, then reused
 	}
-	out := make([]int, k)
+	perm := r.perm[:n]
+	out := make([]int, k) //pfsim:allocok the returned sample
 	for i := 0; i < k; i++ {
-		j := i + r.IntN(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = idx[i]
+		j := i + r.IntN(n-i) //pfsim:allocok crash path: the inlined IntN panic message; n-i > 0 here
+		perm[i], perm[j] = perm[j], perm[i]
+		out[i] = j // swap partner, replaced by the drawn value below
+	}
+	// Undo the swaps in reverse: before undoing swap i the table is as
+	// swap i left it, so perm[i] is the i-th drawn value.
+	for i := k - 1; i >= 0; i-- {
+		j := out[i]
+		out[i] = perm[i]
+		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return out
 }

@@ -243,6 +243,74 @@ func TestSampleWithoutReplacementUniform(t *testing.T) {
 	}
 }
 
+// sampleIndexTable is the original SampleWithoutReplacement: a partial
+// Fisher-Yates over a fresh index table per call. It is the reference
+// the scratch-reusing sampler must match draw for draw.
+func sampleIndexTable(r *RNG, n, k int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + r.IntN(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out[i] = idx[i]
+	}
+	return out
+}
+
+// TestSampleWithoutReplacementMatchesIndexTable: across seeds and (n, k)
+// pairs interleaved on one generator — so the scratch grows mid-stream
+// and is then reused at smaller n — every call returns exactly what the
+// index-table sampler returns from the same stream, and leaves the
+// scratch as the identity.
+func TestSampleWithoutReplacementMatchesIndexTable(t *testing.T) {
+	pairs := [][2]int{
+		{10, 3}, {10, 0}, {0, 0}, {1, 1}, {10, 10}, {480, 160}, {7, 7},
+		{480, 1}, {600, 3}, {480, 480}, {5, 2}, {1000, 999}, {480, 4},
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for round := 0; round < 3; round++ {
+			for _, p := range pairs {
+				n, k := p[0], p[1]
+				g, w := got.SampleWithoutReplacement(n, k), sampleIndexTable(want, n, k)
+				if len(g) != len(w) {
+					t.Fatalf("seed %d (%d,%d): len %d, want %d", seed, n, k, len(g), len(w))
+				}
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("seed %d (%d,%d): draw %d = %d, want %d", seed, n, k, i, g[i], w[i])
+					}
+				}
+				for i, v := range got.perm {
+					if v != i {
+						t.Fatalf("seed %d (%d,%d): scratch[%d] = %d after the call, want identity", seed, n, k, i, v)
+					}
+				}
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("seed %d: streams diverged after sampling", seed)
+		}
+	}
+}
+
+var sampleSink []int
+
+// TestSampleWithoutReplacementAllocs: once the scratch has grown, a draw
+// allocates only the returned slice.
+func TestSampleWithoutReplacementAllocs(t *testing.T) {
+	r := NewRNG(5)
+	r.SampleWithoutReplacement(480, 1)
+	if allocs := testing.AllocsPerRun(200, func() {
+		sampleSink = r.SampleWithoutReplacement(480, 160)
+	}); allocs != 1 {
+		t.Errorf("SampleWithoutReplacement(480, 160) allocated %v times per call, want 1 (the result)", allocs)
+	}
+}
+
 func TestPercentileQuickProperties(t *testing.T) {
 	// Percentile must be within [min,max] and monotone in p.
 	f := func(raw []float64, p1, p2 float64) bool {
