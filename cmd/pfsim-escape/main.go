@@ -23,7 +23,9 @@
 // makes the run deterministic: a warm build cache suppresses -m output
 // entirely, which would pass vacuously. Exit status is 0 when every
 // hot-region escape is annotated, 1 when any is not, and 2 on a usage
-// or load error.
+// or load error. Naming a package without a //pfsim:hotpath root is a
+// usage error: a pattern without "..." that matches a rootless package
+// would otherwise be checked vacuously.
 package main
 
 import (
@@ -88,6 +90,8 @@ func run(w io.Writer, dir, diagFile string, patterns []string) (int, error) {
 		hot := hotRegions(pkg, cg)
 		if len(hot) > 0 {
 			hotPkgs++
+		} else if pat := namedBy(absDir, pkg, patterns); pat != "" {
+			return 0, fmt.Errorf("no //pfsim:hotpath roots found in %s, named explicitly: nothing in it would be checked", pat)
 		}
 		for file, rs := range hot {
 			regions[file] = append(regions[file], rs...)
@@ -152,6 +156,24 @@ func run(w io.Writer, dir, diagFile string, patterns []string) (int, error) {
 			name, f.line, f.col, f.msg, f.r.fn, f.r.root)
 	}
 	return len(findings), nil
+}
+
+// namedBy returns the pattern that names pkg on its own (a directory or
+// import path without "..."), or "" when pkg only matched a wildcard.
+func namedBy(absDir string, pkg *framework.Package, patterns []string) string {
+	for _, pat := range patterns {
+		if strings.Contains(pat, "...") {
+			continue
+		}
+		dir := pat
+		if !filepath.IsAbs(dir) {
+			dir = filepath.Join(absDir, dir)
+		}
+		if pat == pkg.ImportPath || dir == pkg.Dir {
+			return pat
+		}
+	}
+	return ""
 }
 
 // diagRE matches the compiler escape diagnostics worth cross-checking.

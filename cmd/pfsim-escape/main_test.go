@@ -50,6 +50,21 @@ func TestEscapeNoRoots(t *testing.T) {
 	}
 }
 
+// TestEscapeNamedPackageWithoutRoots: a package named on its own (no
+// "..."), by directory or import path, that has no //pfsim:hotpath roots
+// must error even when another named package has roots. TestEscapeCanned
+// reaches the same package through ./... and passes.
+func TestEscapeNamedPackageWithoutRoots(t *testing.T) {
+	_, err := run(&strings.Builder{}, "testdata/mod", "testdata/diag.txt", []string{"./hot", "./cold"})
+	if err == nil || !strings.Contains(err.Error(), "no //pfsim:hotpath roots found in ./cold") {
+		t.Errorf("want named-package no-roots error, got %v", err)
+	}
+	_, err = run(&strings.Builder{}, "testdata/mod", "testdata/diag.txt", []string{"escfixture/cold", "./hot"})
+	if err == nil || !strings.Contains(err.Error(), "escfixture/cold") {
+		t.Errorf("want named-package no-roots error by import path, got %v", err)
+	}
+}
+
 // writeDiag stores canned diagnostics in a temp file.
 func writeDiag(t *testing.T, content string) string {
 	t.Helper()

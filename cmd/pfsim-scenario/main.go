@@ -66,7 +66,7 @@ collect every .yaml, .yml and .json file beneath them, sorted.
 
 run flags:
   -seed N    override the platform seed
-  -par N     solver/baseline parallelism (0 = all cores)
+  -par N     solo-baseline pool width (0 = all cores)
   -v         per-job detail for every file
 `)
 }
@@ -117,7 +117,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("run", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	seed := fl.Uint64("seed", 0, "override the platform seed")
-	par := fl.Int("par", 0, "solver/baseline parallelism (0 = all cores)")
+	par := fl.Int("par", 0, "solo-baseline pool width (0 = all cores)")
 	verbose := fl.Bool("v", false, "per-job detail")
 	if err := fl.Parse(args); err != nil {
 		return 2

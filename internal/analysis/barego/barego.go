@@ -1,15 +1,15 @@
 // Package barego forbids bare `go` statements outside the one package
-// that owns concurrency: internal/pool, the deterministic fan-out worker
-// pool, whose Run and Fan join every goroutine they start before
-// returning.
+// that owns concurrency: internal/pool, the deterministic worker pool,
+// whose Run joins every goroutine it starts before returning.
 //
 // Workloads dispatch as inline engine tasks (sim.Task continuations on
-// the event heap), so a simulation's only goroutines are the solver
-// pool's workers. A goroutine spawned anywhere else — the engine, a cmd
-// tool, an example, a future tuning controller — escapes that
-// ownership: nothing joins it, and one parked on a channel pins its
-// whole engine run. It must either go through the pool or carry a
-// //pfsim:goroutineok annotation recording the audit (e.g. "joined
+// the event heap) and the flow solver is serial, so a simulation runs on
+// one goroutine; the only other goroutines are pool.Run's workers, each
+// running independent simulations. A goroutine spawned anywhere else —
+// the engine, a cmd tool, an example, a future tuning controller —
+// escapes that ownership: nothing joins it, and one parked on a channel
+// pins its whole engine run. It must either go through the pool or carry
+// a //pfsim:goroutineok annotation recording the audit (e.g. "joined
 // before return, no sim state touched").
 package barego
 
@@ -46,7 +46,7 @@ func run(pass *framework.Pass) (any, error) {
 				return true
 			}
 			pass.Reportf(gs.Pos(),
-				"bare go statement outside internal/pool escapes pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok")
+				"bare go statement outside internal/pool escapes pool ownership; use pool.Run, or audit the spawn and annotate //pfsim:goroutineok")
 			return true
 		})
 	}

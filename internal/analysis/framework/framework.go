@@ -9,10 +9,10 @@
 //
 // The framework exists for one purpose: the determinism lint suite run
 // by cmd/pfsim-lint. Every simulated result in this repo is required to
-// be byte-identical across runs, platforms and solver parallelism
-// settings, and the analyzers enforce the source-level invariants that
-// property tests can only spot-check (see the "Determinism rules"
-// section of the README).
+// be byte-identical across runs, platforms and worker-pool widths, and
+// the analyzers enforce the source-level invariants that property tests
+// can only spot-check (see the "Determinism rules" section of the
+// README).
 package framework
 
 import (

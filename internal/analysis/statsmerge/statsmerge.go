@@ -10,8 +10,7 @@
 //
 //   - auto-merge: a method named merge/Merge in a sim-critical package
 //     whose receiver base type T is a struct and which takes another T
-//     (or *T) parameter — the per-worker stats merge shape
-//     (flow.Stats.merge);
+//     (or *T) parameter — the per-worker stats merge shape;
 //   - auto-aggregate: a function named Aggregate in a sim-critical
 //     package returning exactly one struct value — the cross-shard
 //     summary shape (Result.Aggregate, ShardedResult.Aggregate);

@@ -54,14 +54,6 @@
 //     moved in place (sim.Engine.Reschedule) rather than cancelled and
 //     reposted.
 //
-//   - Parallel component solves: disjoint components have disjoint flows
-//     and links, so the per-instant flush may solve its dirty components
-//     on concurrent workers (SetSolveParallelism). Each worker owns a
-//     solveCtx — the progressive-filling scratch and a local Stats
-//     accumulator — solve epochs come from one atomic counter, and the
-//     sequential commit pass then runs in work-queue order, so results,
-//     telemetry and counters are byte-identical at any parallelism.
-//
 // UseReferenceSolver restores the naive behaviour (full link scans over
 // the whole network, one solve per change, linear completion scans); the
 // property tests use it as the oracle and the benchmarks as the
@@ -69,19 +61,14 @@
 //
 // Capacity models must depend only on their own link's traffic (as every
 // model in this repository does): the partitioned solver re-reads a
-// link's capacity only when its component is re-solved. With parallel
-// solving, Capacity must additionally be safe to call concurrently from
-// distinct components' links — true of every model here, whose Capacity
-// is a pure read of state mutated only between solves.
+// link's capacity only when its component is re-solved.
 package flow
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"pfsim/internal/pool"
 	"pfsim/internal/sim"
 )
 
@@ -362,16 +349,16 @@ type Net struct {
 	flushFn      func()
 	completionFn func()
 
-	// Per-solve state lives in solveCtx values, one per solver worker;
-	// ctxs[0] is the serial path's context. par is the configured worker
-	// count (see SetSolveParallelism); parFloor gates the fan-out by the
-	// flush's flow population so tiny flushes never pay goroutine handoff.
-	ctxs          []*solveCtx
-	par           int
-	parFloor      int
+	// Progressive-filling scratch, shared by solveComponent and
+	// assignRatesReference and reused across solves. solveEpoch stamps
+	// the in-progress solve; it only grows, so a fixedEpoch left by an
+	// earlier solve never matches.
+	unfixed       []*Flow
+	sat           []*Link
+	capped        []*Flow
+	solveEpoch    int64
 	solvedScratch []*component
 	stats         Stats
-	solveEpoch    atomic.Int64 // globally unique solve stamps, any worker
 	dsuEpoch      int64
 
 	completions compHeap    // active flows ordered by (due, seq); incremental mode only
@@ -379,42 +366,6 @@ type Net struct {
 	doneScratch []*Flow     // onCompletion's batch scratch, reused across instants
 	flowSeq     int64       // admission counter feeding Flow.seq
 }
-
-// solveCtx is the state one progressive-filling pass needs: the scratch
-// slices the rounds walk and a local Stats accumulator. Each solver
-// worker owns one, so concurrent component solves share nothing but the
-// components themselves (disjoint by construction) and the atomic epoch
-// counter; the local stats merge into Net.stats after the fan-in. All
-// Stats fields are integer counts, so the merged totals are identical
-// regardless of which worker solved which component.
-type solveCtx struct {
-	unfixed []*Flow
-	sat     []*Link
-	capped  []*Flow
-	epoch   int64 // epoch of the in-progress solve (stamped on fixed flows)
-	stats   Stats
-}
-
-// merge folds o into s and zeroes o. Integer sums only — order-free.
-func (s *Stats) merge(o *Stats) {
-	s.Solves += o.Solves
-	s.ComponentsSolved += o.ComponentsSolved
-	s.ComponentFlowsScanned += o.ComponentFlowsScanned
-	s.LinkVisits += o.LinkVisits
-	s.Coalesced += o.Coalesced
-	s.Rounds += o.Rounds
-	s.FlowsScanned += o.FlowsScanned
-	s.FlowsSettled += o.FlowsSettled
-	s.HeapOps += o.HeapOps
-	*o = Stats{}
-}
-
-// defaultParFloor is the flush flow population below which dirty
-// components are solved serially even when SetSolveParallelism enabled
-// workers: such solves finish faster than the goroutine handoff they
-// would buy. Results are byte-identical either way; tests lower the
-// floor to force the parallel path onto small populations.
-const defaultParFloor = 192
 
 // dueChange stages one completion-heap re-key. Keys are applied one at a
 // time (or in bulk via a rebuild) after the flush, never mid-heap-repair,
@@ -463,9 +414,6 @@ func NewNet(eng *sim.Engine) *Net {
 	n := &Net{
 		eng:       eng,
 		linkNames: map[string]bool{},
-		par:       1,
-		parFloor:  defaultParFloor,
-		ctxs:      []*solveCtx{{}},
 	}
 	n.flushFn = n.flushWork
 	n.completionFn = n.onCompletion
@@ -493,21 +441,6 @@ func (n *Net) NewLink(name string, model CapacityModel) *Link {
 
 // HasLink reports whether a link with the given name exists on the net.
 func (n *Net) HasLink(name string) bool { return n.linkNames[name] }
-
-// SetSolveParallelism sets how many workers the per-instant flush may
-// use to solve independent dirty components concurrently: 1 (the
-// default) is fully serial, values below one select GOMAXPROCS.
-// Components are disjoint by construction — no shared flows, links or
-// scratch — worker-local stats are integer counts merged after the
-// fan-in, and the commit pass stays sequential in work-queue order, so
-// simulations are byte-identical at any setting; only wall-clock time
-// changes. Flushes whose dirty components hold few flows in total are
-// solved serially regardless (the fan-out would cost more than the
-// solves). Reference mode always solves serially: it is the oracle.
-func (n *Net) SetSolveParallelism(p int) { n.par = pool.Workers(p) }
-
-// SolveParallelism reports the configured solver worker count.
-func (n *Net) SolveParallelism() int { return n.par }
 
 // ActiveFlows reports the number of unfinished flows.
 func (n *Net) ActiveFlows() int { return n.activeCount }
@@ -811,62 +744,29 @@ func (n *Net) flushWork() {
 		solved = append(solved, c) //pfsim:allocok solved scratch grows to the peak dirty-component count, then reuses capacity
 	}
 	n.work = n.work[:0]
-	n.solveAll(solved)
-	// Commit after every solve, sequentially and in work-queue order:
-	// within each component flows commit in admission order, so per-link
-	// carried accrual, completion re-keys and telemetry sum in the same
-	// order as the reference pass over the whole population — regardless
-	// of which worker solved which component.
-	for _, c := range solved {
+	n.solveAndCommit(solved)
+	n.scheduleNext()
+}
+
+// solveAndCommit runs one progressive-filling pass per component, then
+// commits every solved flow, sequentially in work-queue order: within
+// each component flows commit in admission order, so per-link carried
+// accrual, completion re-keys and telemetry sum in the same order as the
+// reference pass over the whole population. cs is the caller's view of
+// solvedScratch; it is cleared and kept for the next flush.
+func (n *Net) solveAndCommit(cs []*component) {
+	for _, c := range cs {
+		n.solveComponent(c)
+	}
+	for _, c := range cs {
 		for _, f := range c.flows {
 			n.commit(f)
 		}
 	}
-	for i := range solved {
-		solved[i] = nil
+	for i := range cs {
+		cs[i] = nil
 	}
-	n.solvedScratch = solved[:0]
-	n.scheduleNext()
-}
-
-// solveAll runs one progressive-filling pass per component, fanning the
-// passes across solver workers when both the configured parallelism and
-// the flush's population warrant it. Components are disjoint, each
-// worker solves with its own solveCtx, and solve epochs come from one
-// atomic counter (globally unique, so a stale fixedEpoch stamp can never
-// collide with a fresh solve), so concurrent passes share no mutable
-// state; worker-local stats merge after the fan-in.
-func (n *Net) solveAll(cs []*component) {
-	par := n.par
-	if par > len(cs) {
-		par = len(cs)
-	}
-	if par > 1 && n.parFloor > 0 {
-		flows := 0
-		for _, c := range cs {
-			flows += len(c.flows)
-		}
-		if flows < n.parFloor {
-			par = 1
-		}
-	}
-	if par <= 1 {
-		for _, c := range cs {
-			n.solveComponent(n.ctxs[0], c)
-		}
-	} else {
-		for len(n.ctxs) < par {
-			n.ctxs = append(n.ctxs, &solveCtx{}) //pfsim:allocok one ctx per worker, allocated once on the first parallel flush
-		}
-		ctxs := n.ctxs
-		//pfsim:allocok parallel fan-out closure: the fan path's per-flush floor; the serial path stays allocation-free
-		pool.Fan(par, len(cs), func(worker, i int) {
-			n.solveComponent(ctxs[worker], cs[i])
-		})
-	}
-	for _, ctx := range n.ctxs {
-		n.stats.merge(&ctx.stats)
-	}
+	n.solvedScratch = cs[:0]
 }
 
 // commitReference is the reference solver's per-instant accounting pass:
@@ -1078,16 +978,7 @@ func (n *Net) Recompute() {
 			c.dirty = false
 			live = append(live, c)
 		}
-		n.solveAll(live)
-		for _, c := range live {
-			for _, f := range c.flows {
-				n.commit(f)
-			}
-		}
-		for i := range live {
-			live[i] = nil
-		}
-		n.solvedScratch = live[:0]
+		n.solveAndCommit(live)
 	}
 	n.scheduleNext()
 }
@@ -1106,25 +997,24 @@ func (n *Net) Recompute() {
 // flows are fixed in (cap, admission) order — see fixCapped — and every
 // round walks the explicit unfixed-flow list, compacted in admission
 // order, so the residual arithmetic is identical to the reference solver's
-// monolithic pass restricted to this component. Reference mode shares none
-// of this machinery (assignRatesReference): it is the oracle, so a defect
-// in the component or unfixed-list bookkeeping cannot cancel out of the
-// inc-vs-ref property tests. All mutable state is the component's own,
-// the ctx's own, or the atomic epoch counter, so distinct components may
-// solve on concurrent workers (solveAll).
+// monolithic pass restricted to this component. Reference mode shares
+// only the scratch slices (assignRatesReference): it is the oracle, so a
+// defect in the component or unfixed-list bookkeeping cannot cancel out
+// of the inc-vs-ref property tests.
 //
 //pfsim:hotpath
-func (n *Net) solveComponent(ctx *solveCtx, c *component) {
-	ctx.epoch = n.solveEpoch.Add(1)
+func (n *Net) solveComponent(c *component) {
+	n.solveEpoch++
+	epoch := n.solveEpoch
 	links := c.links
-	ctx.stats.ComponentsSolved++
-	ctx.stats.LinkVisits += int64(len(links))
+	n.stats.ComponentsSolved++
+	n.stats.LinkVisits += int64(len(links))
 	for _, l := range links {
 		l.residual = l.model.Capacity(l.active)
 		l.unfixed = 0
 		l.saturated = false
 	}
-	unfixed := ctx.unfixed[:0]
+	unfixed := n.unfixed[:0]
 	for _, f := range c.flows {
 		if f.finished {
 			continue
@@ -1134,13 +1024,13 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			l.unfixed++
 		}
 	}
-	ctx.stats.ComponentFlowsScanned += int64(len(unfixed))
-	sat := ctx.sat[:0]
+	n.stats.ComponentFlowsScanned += int64(len(unfixed))
+	sat := n.sat[:0]
 	for len(unfixed) > 0 {
-		ctx.stats.Rounds++
-		ctx.stats.FlowsScanned += int64(len(unfixed))
+		n.stats.Rounds++
+		n.stats.FlowsScanned += int64(len(unfixed))
 		minShare := math.Inf(1)
-		ctx.stats.LinkVisits += int64(len(links))
+		n.stats.LinkVisits += int64(len(links))
 		for _, l := range links {
 			if l.unfixed == 0 {
 				continue
@@ -1154,8 +1044,8 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			}
 		}
 		// Fix rate-capped flows whose cap is at or below the share.
-		if fixCapped(ctx, unfixed, minShare) {
-			unfixed = compactUnfixed(unfixed, ctx.epoch)
+		if n.fixCapped(unfixed, minShare) {
+			unfixed = compactUnfixed(unfixed, epoch)
 			continue
 		}
 		if math.IsInf(minShare, 1) {
@@ -1166,14 +1056,14 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 				if r <= 0 {
 					panic("flow: unconstrained flow in rate assignment") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 				}
-				fixFlow(f, r, ctx.epoch)
+				fixFlow(f, r, epoch)
 				unfixed[i] = nil
 			}
 			unfixed = unfixed[:0]
 			break
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
-		ctx.stats.LinkVisits += int64(len(links))
+		n.stats.LinkVisits += int64(len(links))
 		for _, l := range links {
 			if l.unfixed == 0 {
 				continue
@@ -1197,7 +1087,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 				}
 			}
 			if onBottleneck {
-				fixFlow(f, minShare, ctx.epoch)
+				fixFlow(f, minShare, epoch)
 				progressed = true
 			}
 		}
@@ -1208,10 +1098,10 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 		if !progressed {
 			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 		}
-		unfixed = compactUnfixed(unfixed, ctx.epoch)
+		unfixed = compactUnfixed(unfixed, epoch)
 	}
-	ctx.sat = sat[:0]
-	ctx.unfixed = unfixed[:0]
+	n.sat = sat[:0]
+	n.unfixed = unfixed[:0]
 }
 
 // fixCapped pins every unfixed flow whose rate cap is at or below the
@@ -1227,8 +1117,8 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 // fixed.
 //
 //pfsim:hotpath
-func fixCapped(ctx *solveCtx, unfixed []*Flow, minShare float64) bool {
-	capped := ctx.capped[:0]
+func (n *Net) fixCapped(unfixed []*Flow, minShare float64) bool {
+	capped := n.capped[:0]
 	for _, f := range unfixed {
 		if f.maxRate > 0 && f.maxRate <= minShare {
 			capped = append(capped, f) //pfsim:allocok capped scratch grows to the peak capped population, then reuses capacity
@@ -1237,14 +1127,14 @@ func fixCapped(ctx *solveCtx, unfixed []*Flow, minShare float64) bool {
 	if len(capped) > 0 {
 		sortCapped(capped)
 		for _, f := range capped {
-			fixFlow(f, f.maxRate, ctx.epoch)
+			fixFlow(f, f.maxRate, n.solveEpoch)
 		}
 	}
 	fixed := len(capped) > 0
 	for i := range capped {
 		capped[i] = nil
 	}
-	ctx.capped = capped[:0]
+	n.capped = capped[:0]
 	return fixed
 }
 
@@ -1276,8 +1166,8 @@ func sortCapped(fs []*Flow) {
 // are bit-identical while the implementations stay independent.
 func (n *Net) assignRatesReference() {
 	links := n.links
-	ctx := n.ctxs[0]
-	epoch := n.solveEpoch.Add(1)
+	n.solveEpoch++
+	epoch := n.solveEpoch
 	n.stats.Solves++
 	n.stats.ComponentsSolved++
 	n.stats.ComponentFlowsScanned += int64(n.activeCount)
@@ -1297,7 +1187,7 @@ func (n *Net) assignRatesReference() {
 			l.unfixed++
 		}
 	}
-	sat := ctx.sat[:0]
+	sat := n.sat[:0]
 	for unfixedCount > 0 {
 		n.stats.Rounds++
 		n.stats.FlowsScanned += int64(n.activeCount)
@@ -1317,7 +1207,7 @@ func (n *Net) assignRatesReference() {
 		}
 		// Fix rate-capped flows whose cap is at or below the share, in
 		// (cap, admission) order — see fixCapped for why the order matters.
-		capped := ctx.capped[:0]
+		capped := n.capped[:0]
 		for _, f := range n.activeFlows {
 			if f.finished || f.fixedEpoch == epoch || f.maxRate <= 0 || f.maxRate > minShare {
 				continue
@@ -1333,10 +1223,10 @@ func (n *Net) assignRatesReference() {
 			for i := range capped {
 				capped[i] = nil
 			}
-			ctx.capped = capped[:0]
+			n.capped = capped[:0]
 			continue
 		}
-		ctx.capped = capped[:0]
+		n.capped = capped[:0]
 		if math.IsInf(minShare, 1) {
 			// Only path-less capped flows remain; their caps exceeded every
 			// share constraint — fix them at their cap.
@@ -1351,7 +1241,7 @@ func (n *Net) assignRatesReference() {
 				fixFlow(f, r, epoch)
 				unfixedCount--
 			}
-			ctx.sat = sat[:0]
+			n.sat = sat[:0]
 			return
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
@@ -1395,7 +1285,7 @@ func (n *Net) assignRatesReference() {
 			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 		}
 	}
-	ctx.sat = sat[:0]
+	n.sat = sat[:0]
 }
 
 // compactUnfixed drops flows fixed in the given solve epoch from the
@@ -1422,9 +1312,8 @@ func compactUnfixed(fs []*Flow, epoch int64) []*Flow {
 // if the rate it ends the instant with differs from the one in force, so
 // flows whose allocation is unmoved — untouched components, or transient
 // mid-instant wobbles — keep their anchors and heap keys bit-for-bit.
-// Epochs are drawn from one atomic counter and never reused, so a stamp
-// left by an earlier solve (on any worker) can never masquerade as this
-// one's.
+// Epochs only grow, so a stamp left by an earlier solve can never
+// masquerade as this one's.
 func fixFlow(f *Flow, rate float64, epoch int64) {
 	f.fixedEpoch = epoch
 	for _, l := range f.path {

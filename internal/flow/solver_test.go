@@ -124,18 +124,12 @@ func randomSchedule(rng *rand.Rand, nLinks int) []solverOp {
 // replay builds a star of nLinks Const links with the given capacities,
 // schedules ops, runs the engine, and returns the flows (in creation
 // order), links and net. With invariants set, CheckInvariants runs inside
-// every op event. par > 1 solves dirty components on concurrent workers,
-// with the population floor removed so even tiny flushes take the
-// parallel path.
-func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par int, invariants bool) ([]*Flow, []*Link, *Net) {
+// every op event.
+func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, invariants bool) ([]*Flow, []*Link, *Net) {
 	t.Helper()
 	e := sim.NewEngine()
 	n := NewNet(e)
 	n.UseReferenceSolver(reference)
-	if par > 1 {
-		n.SetSolveParallelism(par)
-		n.parFloor = 0
-	}
 	links := make([]*Link, len(caps))
 	for i, c := range caps {
 		links[i] = n.NewLink(fmt.Sprintf("l%d", i), Const(c))
@@ -262,8 +256,8 @@ func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 			// exactly as any real caller does, since the same program runs
 			// unmodified under either solver. As a bonus the reference run
 			// now exercises the component-partition invariants too.
-			incFlows, incLinks, inc := replay(t, ops, caps, false, 1, true)
-			refFlows, refLinks, _ := replay(t, ops, caps, true, 1, true)
+			incFlows, incLinks, inc := replay(t, ops, caps, false, true)
+			refFlows, refLinks, _ := replay(t, ops, caps, true, true)
 			if err := inc.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -640,21 +634,34 @@ func randomGroupedSchedule(rng *rand.Rand, groups, groupLinks int) []solverOp {
 // when bridges retire, and lazy SetModel changes — through the partitioned
 // solver and the monolithic reference solver. Trajectories and carried
 // volumes must match bit for bit, with the component-partition invariants
-// checked inside every event in both modes.
+// checked inside every event in both modes. Seeds 100-129 draw 2-6 link
+// groups; seeds 500-514 draw 2-8, so more components go dirty in the
+// same flush.
 func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
+	var seeds []int64
 	for seed := int64(100); seed < 130; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for seed := int64(500); seed < 515; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
 		seed := seed
+		maxGroups := 6
+		if seed >= 500 {
+			maxGroups = 8
+		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			groups := 2 + rng.Intn(5)
+			groups := 2 + rng.Intn(maxGroups-1)
 			groupLinks := 2 + rng.Intn(4)
 			caps := make([]float64, groups*groupLinks)
 			for i := range caps {
 				caps[i] = 10 + rng.Float64()*500
 			}
 			ops := randomGroupedSchedule(rng, groups, groupLinks)
-			incFlows, incLinks, inc := replay(t, ops, caps, false, 1, true)
-			refFlows, refLinks, _ := replay(t, ops, caps, true, 1, true)
+			incFlows, incLinks, inc := replay(t, ops, caps, false, true)
+			refFlows, refLinks, _ := replay(t, ops, caps, true, true)
 			if err := inc.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -695,83 +702,6 @@ func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelSolveMatchesSerialProperty drives randomized multi-shard
-// schedules — a randomized number of link groups (shard counts), mixed
-// lazy/eager SetModel churn, batch admissions and completion-chained
-// retire churn — through the partitioned solver at parallelism 1..8 with
-// the population floor removed, so even two-flow flushes fan out. Every
-// parallel replay must match the serial replay AND the reference oracle
-// bit for bit: start times, finish times, carried volumes and the
-// deterministic solver counters. Run under -race this also proves the
-// concurrent component solves share no mutable state.
-func TestParallelSolveMatchesSerialProperty(t *testing.T) {
-	for seed := int64(500); seed < 515; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			groups := 2 + rng.Intn(7) // randomized shard count
-			groupLinks := 2 + rng.Intn(4)
-			caps := make([]float64, groups*groupLinks)
-			for i := range caps {
-				caps[i] = 10 + rng.Float64()*500
-			}
-			ops := randomGroupedSchedule(rng, groups, groupLinks)
-			serialFlows, serialLinks, serial := replay(t, ops, caps, false, 1, true)
-			refFlows, _, _ := replay(t, ops, caps, true, 1, true)
-			serialStats := serial.Stats()
-			for par := 2; par <= 8; par += 3 { // 2, 5, 8
-				parFlows, parLinks, pn := replay(t, ops, caps, false, par, true)
-				if err := pn.CheckInvariants(); err != nil {
-					t.Fatalf("par=%d: %v", par, err)
-				}
-				if len(parFlows) != len(serialFlows) {
-					t.Fatalf("par=%d: flow counts diverged: %d vs %d", par, len(parFlows), len(serialFlows))
-				}
-				for i := range parFlows {
-					fp, fs, fr := parFlows[i], serialFlows[i], refFlows[i]
-					if math.Float64bits(fp.Started()) != math.Float64bits(fs.Started()) {
-						t.Errorf("par=%d flow %s: start %v vs serial %v", par, fp.Name(), fp.Started(), fs.Started())
-					}
-					if math.Float64bits(fp.FinishedAt()) != math.Float64bits(fs.FinishedAt()) {
-						t.Errorf("par=%d flow %s: finish %v vs serial %v", par, fp.Name(), fp.FinishedAt(), fs.FinishedAt())
-					}
-					if math.Float64bits(fp.FinishedAt()) != math.Float64bits(fr.FinishedAt()) {
-						t.Errorf("par=%d flow %s: finish %v vs reference %v", par, fp.Name(), fp.FinishedAt(), fr.FinishedAt())
-					}
-				}
-				for i := range parLinks {
-					if math.Float64bits(parLinks[i].Carried()) != math.Float64bits(serialLinks[i].Carried()) {
-						t.Errorf("par=%d link %s: carried %v vs serial %v",
-							par, parLinks[i].Name(), parLinks[i].Carried(), serialLinks[i].Carried())
-					}
-				}
-				// The deterministic work counters are integer sums over the
-				// same set of component solves, so they are identical too.
-				if ps := pn.Stats(); ps != serialStats {
-					t.Errorf("par=%d: stats diverged:\nparallel %+v\nserial   %+v", par, ps, serialStats)
-				}
-			}
-		})
-	}
-}
-
-// TestSolveParallelismKnob covers the setter semantics: default serial,
-// explicit widths, and GOMAXPROCS selection for values below one.
-func TestSolveParallelismKnob(t *testing.T) {
-	n := NewNet(sim.NewEngine())
-	if got := n.SolveParallelism(); got != 1 {
-		t.Errorf("default parallelism = %d, want 1", got)
-	}
-	n.SetSolveParallelism(4)
-	if got := n.SolveParallelism(); got != 4 {
-		t.Errorf("parallelism = %d, want 4", got)
-	}
-	n.SetSolveParallelism(0)
-	if got := n.SolveParallelism(); got < 1 {
-		t.Errorf("parallelism = %d, want GOMAXPROCS (>= 1)", got)
 	}
 }
 

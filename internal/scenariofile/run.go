@@ -17,9 +17,8 @@ import (
 type RunOptions struct {
 	// Seed overrides the platform seed (0 keeps the file's choice).
 	Seed uint64
-	// Parallelism is spent inside the fluid solver during the contended
-	// run and across the worker pool for solo baselines — byte-identical
-	// results at any width.
+	// Parallelism sizes the worker pool for solo baselines (values below
+	// one select GOMAXPROCS) — byte-identical results at any width.
 	Parallelism int
 	// Reference forces the reference solver (the incremental solver's
 	// byte-identical oracle); used by equivalence tests.
@@ -109,7 +108,7 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	wopts := workload.RunOptions{Seed: opts.Seed, Parallelism: opts.Parallelism, Ctx: ctx}
+	wopts := workload.RunOptions{Seed: opts.Seed, Ctx: ctx}
 	out := &Result{File: f, Platform: plat}
 	if !f.Sharded() {
 		res, err := workload.RunScenarioWith(plat, scens[0], wopts, func(sys *lustre.System) {

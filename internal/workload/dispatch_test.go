@@ -48,60 +48,51 @@ func dispatchScenario() Scenario {
 }
 
 // TestDispatchSolverModesBitIdentical runs the mixed dispatch scenario
-// under both solver modes and several solve-parallelism widths: every
-// run must reproduce the serial incremental run byte for byte — every
-// job's trajectory, every bandwidth sample, every OST layout — and the
-// solver's deterministic work counters must not move with the width.
-// Run under -race in CI, this also proves the task path introduces no
-// sharing between solver workers and the event loop.
+// under both solver modes: the reference run must reproduce the
+// incremental run byte for byte — every job's trajectory, every
+// bandwidth sample, every OST layout — and a repeated incremental run
+// must reproduce all of that and its deterministic work counters.
 func TestDispatchSolverModesBitIdentical(t *testing.T) {
 	plat := cluster.Cab()
 	sc := dispatchScenario()
-	run := func(reference bool, par int) *Result {
-		res, err := RunScenarioWith(plat, sc,
-			RunOptions{Parallelism: par},
+	run := func(reference bool) *Result {
+		res, err := RunScenario(plat, sc, 0,
 			func(sys *lustre.System) { sys.Net().UseReferenceSolver(reference) })
 		if err != nil {
-			t.Fatalf("reference=%v par=%d: %v", reference, par, err)
+			t.Fatalf("reference=%v: %v", reference, err)
 		}
 		return res
 	}
-	base := run(false, 1)
+	base := run(false)
 	for _, reference := range []bool{false, true} {
-		serial := run(reference, 1)
-		for _, par := range []int{1, 2, 4} {
-			got := run(reference, par)
-			if math.Float64bits(got.Makespan) != math.Float64bits(base.Makespan) {
-				t.Errorf("reference=%v par=%d: makespan %v, want %v",
-					reference, par, got.Makespan, base.Makespan)
+		got := run(reference)
+		if math.Float64bits(got.Makespan) != math.Float64bits(base.Makespan) {
+			t.Errorf("reference=%v: makespan %v, want %v", reference, got.Makespan, base.Makespan)
+		}
+		for j := range base.Jobs {
+			a, b := &got.Jobs[j], &base.Jobs[j]
+			if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
+				t.Errorf("reference=%v job %q: finish %v, want %v",
+					reference, a.Label, a.FinishedAt, b.FinishedAt)
 			}
-			for j := range base.Jobs {
-				a, b := &got.Jobs[j], &base.Jobs[j]
-				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
-					t.Errorf("reference=%v par=%d job %q: finish %v, want %v",
-						reference, par, a.Label, a.FinishedAt, b.FinishedAt)
-				}
-				if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-					t.Errorf("reference=%v par=%d job %q: write %v, want %v",
-						reference, par, a.Label, a.WriteMBs(), b.WriteMBs())
-				}
-				if math.Float64bits(a.IOR.Read.Mean()) != math.Float64bits(b.IOR.Read.Mean()) {
-					t.Errorf("reference=%v par=%d job %q: read %v, want %v",
-						reference, par, a.Label, a.IOR.Read.Mean(), b.IOR.Read.Mean())
-				}
-				if !reflect.DeepEqual(a.IOR.LayoutOSTs, b.IOR.LayoutOSTs) {
-					t.Errorf("reference=%v par=%d job %q: OST layouts diverged",
-						reference, par, a.Label)
-				}
+			if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
+				t.Errorf("reference=%v job %q: write %v, want %v",
+					reference, a.Label, a.WriteMBs(), b.WriteMBs())
 			}
-			// The full flow.Stats struct: a single diverging solve, link
-			// visit, or heap operation anywhere in the run fails this. The
-			// two solver modes do different work, so each is held to its
-			// own serial run.
-			if got.Solver != serial.Solver {
-				t.Errorf("reference=%v par=%d: solver counters diverged:\ngot    %+v\nserial %+v",
-					reference, par, got.Solver, serial.Solver)
+			if math.Float64bits(a.IOR.Read.Mean()) != math.Float64bits(b.IOR.Read.Mean()) {
+				t.Errorf("reference=%v job %q: read %v, want %v",
+					reference, a.Label, a.IOR.Read.Mean(), b.IOR.Read.Mean())
 			}
+			if !reflect.DeepEqual(a.IOR.LayoutOSTs, b.IOR.LayoutOSTs) {
+				t.Errorf("reference=%v job %q: OST layouts diverged", reference, a.Label)
+			}
+		}
+		// The full flow.Stats struct: a single diverging solve, link
+		// visit, or heap operation anywhere in the run fails this. The
+		// two solver modes do different work, so only the incremental
+		// rerun is held to the base counters.
+		if !reference && got.Solver != base.Solver {
+			t.Errorf("solver counters not deterministic:\ngot  %+v\nwant %+v", got.Solver, base.Solver)
 		}
 	}
 }

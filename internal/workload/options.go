@@ -7,18 +7,15 @@ import (
 )
 
 // RunOptions configures RunScenarioWith and RunShardedWith beyond the
-// platform: the RNG seed, the fluid solver's worker count, and an
-// optional cancellation context. The zero value reproduces the plain
-// RunScenario/RunSharded behaviour (platform seed, serial solver, no
-// cancellation).
+// platform: the RNG seed and an optional cancellation context. The zero
+// value reproduces the plain RunScenario/RunSharded behaviour (platform
+// seed, no cancellation).
 type RunOptions struct {
 	// Seed drives OST layouts and service jitter; 0 selects plat.Seed.
 	Seed uint64
-	// Parallelism is the number of workers the fluid solver may use to
-	// solve independent dirty components concurrently (values <= 1 solve
-	// serially). Simulations are byte-identical at any setting — only
-	// wall-clock time changes — so it is safe to pass the caller's pool
-	// width. See flow.Net.SetSolveParallelism.
+	// Parallelism has no effect.
+	//
+	// Deprecated: ignored; the solver is serial.
 	Parallelism int
 	// Ctx, when it carries a Done channel, aborts the simulation mid-run:
 	// the engine polls it every few thousand fired events — bounding

@@ -408,10 +408,9 @@ func RunScenario(plat *cluster.Platform, s Scenario, seed uint64, instrument ...
 	return RunScenarioWith(plat, s, RunOptions{Seed: seed}, instrument...)
 }
 
-// RunScenarioWith is RunScenario with explicit run options: the solver's
-// component-solve parallelism (byte-identical at any setting) and a
-// cancellation context polled mid-run. Instrument hooks run after the
-// options are applied, so they may override them (e.g. a benchmark
+// RunScenarioWith is RunScenario with explicit run options: the seed and
+// a cancellation context polled mid-run. Instrument hooks run against
+// the freshly built system before any job launches (e.g. a benchmark
 // forcing a solver mode).
 func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instrument ...func(*lustre.System)) (*Result, error) {
 	cfgs, err := s.materialise(plat)
@@ -426,9 +425,6 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(seed).Fork(s.seedHash(cfgs)))
 	if err != nil {
 		return nil, err
-	}
-	if opts.Parallelism > 1 {
-		sys.Net().SetSolveParallelism(opts.Parallelism)
 	}
 	for _, fn := range instrument {
 		fn(sys)

@@ -50,11 +50,10 @@ func WithContext(ctx context.Context) RunnerOption {
 }
 
 // WithParallelism sets the worker-pool width for independent simulations
-// (1 = serial; values below one select GOMAXPROCS, the default). The
-// single long runs (RunScenario's contended pass, RunSharded) spend the
-// same width inside the fluid solver instead, solving independent dirty
-// components concurrently — results are byte-identical at any setting,
-// only wall-clock time changes.
+// (1 = serial; values below one select GOMAXPROCS, the default). Results
+// are byte-identical at any setting, only wall-clock time changes. Each
+// simulation is single-threaded, so a single long run (RunScenario's
+// contended pass, RunSharded) takes one core whatever the width.
 func WithParallelism(n int) RunnerOption {
 	return func(r *Runner) { r.parallelism = n }
 }
@@ -125,20 +124,6 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	return r
 }
 
-// runOptions builds the workload options for the Runner's single long
-// runs: the pool width becomes the solver's component-solve parallelism
-// (there is only one simulation to fan out, so the cores go inside it)
-// and the Runner context is polled mid-run. Batched paths deliberately
-// do not use this — they spend the width on the pool and keep each
-// simulation's solver serial.
-func (r *Runner) runOptions() workload.RunOptions {
-	return workload.RunOptions{
-		Seed:        r.seed,
-		Parallelism: pool.Workers(r.parallelism),
-		Ctx:         r.ctx,
-	}
-}
-
 // RunScenario executes the scenario on plat: one deterministic simulation
 // in which every job launches at its start time on its node range,
 // sharing the metadata server, network and OSTs. Unless WithoutSlowdowns
@@ -150,7 +135,7 @@ func (r *Runner) RunScenario(plat *Platform, sc Scenario) (*ScenarioResult, erro
 	}
 	tracker := r.newTracker()
 	tracker.addTotal(1)
-	res, err := workload.RunScenarioWith(plat, sc, r.runOptions())
+	res, err := workload.RunScenarioWith(plat, sc, workload.RunOptions{Seed: r.seed, Ctx: r.ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -295,9 +280,7 @@ func (r *Runner) applySlowdownsAll(plat *Platform, results []*ScenarioResult, se
 // shape (many installations, one simulation). Shard link sets are
 // disjoint, so the partitioned solver keeps each shard its own component:
 // simulation cost per event scales with the touched shard, not the total
-// population, and the Runner's parallelism is spent solving the
-// components an instant dirties concurrently (byte-identical results at
-// any width). A cancelled WithContext context stops the engine mid-run.
+// population. A cancelled WithContext context stops the engine mid-run.
 // Slowdown baselines are not computed (a shard cannot slow another down
 // by construction; per-shard contention is visible in the per-job
 // results directly).
@@ -307,7 +290,7 @@ func (r *Runner) RunSharded(plat *Platform, shards []Scenario) (*ShardedResult, 
 	}
 	tracker := r.newTracker()
 	tracker.addTotal(1)
-	res, err := workload.RunShardedWith(plat, shards, r.runOptions())
+	res, err := workload.RunShardedWith(plat, shards, workload.RunOptions{Seed: r.seed, Ctx: r.ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -426,10 +426,10 @@ func TestRunnerRunShardedCancelled(t *testing.T) {
 	}
 }
 
-// TestRunnerRunShardedParallelismBitIdentical: RunSharded spends the
-// Runner's pool width inside the shared solver (one simulation, many
-// components); any width must reproduce the serial run bit for bit,
-// solver work counters included.
+// TestRunnerRunShardedParallelismBitIdentical: RunSharded is one
+// simulation, so the Runner's pool width must not touch it; any width
+// must reproduce the serial run bit for bit, solver work counters
+// included.
 func TestRunnerRunShardedParallelismBitIdentical(t *testing.T) {
 	plat, shards := SolverShardedScenario(32, 4)
 	serial, err := NewRunner(WithParallelism(1)).RunSharded(plat, shards)

@@ -1,7 +1,6 @@
 package pfsim
 
 import (
-	"pfsim/internal/pool"
 	"pfsim/internal/scenariofile"
 )
 
@@ -34,9 +33,8 @@ func ParseScenarioFile(data []byte, name string) (*ScenarioFile, error) {
 // expanded and simulated with the fault timeline compiled onto engine
 // hooks, solo baselines run when an assertion needs slowdown figures,
 // and the assertion block is evaluated. The Runner's seed, context and
-// parallelism apply; parallelism is spent inside the fluid solver for
-// the contended run and across the worker pool for baselines, with
-// byte-identical results at any width. Whether baselines run is the
+// parallelism apply; parallelism sizes the worker pool for baselines,
+// with byte-identical results at any width. Whether baselines run is the
 // file's choice (its `baselines` key, or automatically when an
 // assertion reads slowdowns) — WithoutSlowdowns does not override it.
 // An error means the file failed to validate or simulate; assertion
@@ -47,7 +45,7 @@ func (r *Runner) RunScenarioFile(f *ScenarioFile) (*ScenarioFileResult, error) {
 	}
 	return scenariofile.Run(f, scenariofile.RunOptions{
 		Seed:        r.seed,
-		Parallelism: pool.Workers(r.parallelism),
+		Parallelism: r.parallelism,
 		Ctx:         r.ctx,
 	})
 }
