@@ -222,10 +222,10 @@ func TestRunAgainstCommittedBaseline(t *testing.T) {
 	if _, err := os.Stat(baseline); err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
-	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 3181153 linkvisits/op 420350 flowsscanned/op 22042 heapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 83688 allocs/op 15281480 B/op
-BenchmarkSolver4096Flows/incremental 1 1 ns/op 15619020 linkvisits/op 2240351 flowsscanned/op 94800 heapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 315995 allocs/op 64660768 B/op
-BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 5296518 linkvisits/op 853482 flowsscanned/op 81316 heapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 435453 allocs/op 50778112 B/op
-BenchmarkEngineFleet/tasks 1 653758233 ns/op 3 peakgoroutines 90810384 B/op 1999835 allocs/op
+	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 3181153 linkvisits/op 420350 flowsscanned/op 22042 heapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 45175 allocs/op 2614168 B/op
+BenchmarkSolver4096Flows/incremental 1 1 ns/op 15619020 linkvisits/op 2240351 flowsscanned/op 94800 heapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 165339 allocs/op 8927664 B/op
+BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 5296518 linkvisits/op 853482 flowsscanned/op 81316 heapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 271345 allocs/op 16086592 B/op
+BenchmarkEngineFleet/tasks 1 653758233 ns/op 3 peakgoroutines 73853944 B/op 1300563 allocs/op
 `
 	var report strings.Builder
 	if err := run(baseline, strings.NewReader(synthetic), &report); err != nil {

@@ -1,16 +1,13 @@
-// Package statsmerge makes "a new counter silently dropped at
-// parallelism > 1 or in shard aggregation" a lint failure instead of a
-// parity-debugging session.
+// Package statsmerge makes "a new counter silently dropped in shard
+// aggregation" a lint failure instead of a parity-debugging session.
 //
 // The hazard class is real: PR 5 shipped two fixes of exactly this
 // shape (per-shard slowdown fields dropped by ShardedResult.Aggregate,
-// solver counters lost across the per-worker merge). The analyzer
-// checks that designated fold functions touch every field of the
-// struct they fold. A function is checked when it matches one of:
+// solver counters lost across a per-worker merge the serial solver no
+// longer has). The analyzer checks that designated fold functions touch
+// every field of the struct they fold. A function is checked when it
+// matches one of:
 //
-//   - auto-merge: a method named merge/Merge in a sim-critical package
-//     whose receiver base type T is a struct and which takes another T
-//     (or *T) parameter — the per-worker stats merge shape;
 //   - auto-aggregate: a function named Aggregate in a sim-critical
 //     package returning exactly one struct value — the cross-shard
 //     summary shape (Result.Aggregate, ShardedResult.Aggregate);
@@ -36,7 +33,7 @@ import (
 // functions.
 var Analyzer = &framework.Analyzer{
 	Name: "statsmerge",
-	Doc:  "requires merge/Merge and Aggregate functions (and any function annotated //pfsim:mergeall T) to touch every field of the folded struct, so new counters cannot be silently dropped at parallelism > 1 or in shard aggregation (exempt fields with //pfsim:nomerge)",
+	Doc:  "requires Aggregate functions (and any function annotated //pfsim:mergeall T) to touch every field of the folded struct, so new counters cannot be silently dropped in shard aggregation (exempt fields with //pfsim:nomerge)",
 	Run:  run,
 }
 
@@ -57,9 +54,6 @@ func run(pass *framework.Pass) (any, error) {
 				continue
 			}
 			if critical {
-				if typ := mergeTarget(pass, fn); typ != nil {
-					targets = append(targets, target{fn, typ, "merge method"})
-				}
 				if typ := aggregateTarget(pass, fn); typ != nil {
 					targets = append(targets, target{fn, typ, "aggregate function"})
 				}
@@ -78,28 +72,6 @@ func run(pass *framework.Pass) (any, error) {
 		checkTarget(pass, tg)
 	}
 	return nil, nil
-}
-
-// mergeTarget reports the struct a merge-shaped method folds: receiver
-// base type T (a struct) with a parameter of type T or *T.
-func mergeTarget(pass *framework.Pass, fn *ast.FuncDecl) *types.Named {
-	if fn.Name.Name != "merge" && fn.Name.Name != "Merge" || fn.Recv == nil {
-		return nil
-	}
-	sig := signature(pass, fn)
-	if sig == nil || sig.Recv() == nil {
-		return nil
-	}
-	recv := namedStruct(sig.Recv().Type())
-	if recv == nil {
-		return nil
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if p := namedStruct(sig.Params().At(i).Type()); p != nil && types.Identical(p, recv) {
-			return recv
-		}
-	}
-	return nil
 }
 
 // aggregateTarget reports the struct an Aggregate-shaped function
@@ -185,7 +157,7 @@ func checkTarget(pass *framework.Pass, tg target) {
 		return
 	}
 	pass.Reportf(tg.fn.Name.Pos(),
-		"%s %q does not touch field(s) %s of %s; a field missing from the fold is silently dropped at parallelism > 1 or in shard aggregation — merge it, or annotate the field //pfsim:nomerge",
+		"%s %q does not touch field(s) %s of %s; a field missing from the fold is silently dropped — merge it, or annotate the field //pfsim:nomerge",
 		tg.rule, tg.fn.Name.Name, strings.Join(missing, ", "), typeLabel(tg.typ))
 }
 

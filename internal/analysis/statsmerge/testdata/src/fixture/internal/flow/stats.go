@@ -1,5 +1,5 @@
 // Package flow is a statsmerge fixture shaped like the real solver
-// package: per-worker counter structs with merge methods.
+// package: a counter struct that folds in other packages must cover.
 package flow
 
 // Stats counts solver work.
@@ -8,36 +8,4 @@ type Stats struct {
 	Rounds  int64
 	HeapOps int64
 	scratch int //pfsim:nomerge — per-solve scratch, reset not folded
-}
-
-// merge folds o into s but forgets HeapOps; the exempt scratch field
-// must not be reported.
-func (s *Stats) merge(o *Stats) { // want `merge method "merge" does not touch field\(s\) HeapOps of flow.Stats`
-	s.Solves += o.Solves
-	s.Rounds += o.Rounds
-	*o = Stats{}
-}
-
-// Counters is the well-merged sibling.
-type Counters struct {
-	Visits int64
-	Scans  int64
-}
-
-// Merge folds every field: clean.
-func (c *Counters) Merge(o *Counters) {
-	c.Visits += o.Visits
-	c.Scans += o.Scans
-}
-
-// merge on a non-matching shape (no same-type parameter) is not a
-// fold; the solver's component merge has this shape.
-type net struct{ comps int }
-
-type component struct{ flows int }
-
-func (n *net) merge(a, b *component) *component {
-	n.comps--
-	a.flows += b.flows
-	return a
 }

@@ -1,6 +1,6 @@
-// Package other is outside the sim-critical set: merge methods here
-// are not auto-checked, but an explicit //pfsim:mergeall annotation
-// still binds.
+// Package other is outside the sim-critical set: Aggregate functions
+// here are not auto-checked, but an explicit //pfsim:mergeall
+// annotation still binds.
 package other
 
 type tally struct {
@@ -8,10 +8,14 @@ type tally struct {
 	misses int
 }
 
-// merge outside the critical set: not auto-checked even though it
+// Aggregate outside the critical set: not auto-checked even though it
 // forgets misses.
-func (t *tally) merge(o *tally) {
-	t.hits += o.hits
+func Aggregate(ts []tally) tally {
+	var t tally
+	for _, x := range ts {
+		t.hits += x.hits
+	}
+	return t
 }
 
 // foldTally opts in via the directive and is held to it.

@@ -66,3 +66,57 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state solve allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestSolverRetireAdmitAllocs pins the in-place rebuild: a cycle that
+// retires one flow of a connected multi-flow component and admits a
+// replacement allocates only the replacement's own records (its Flow and
+// Done signal, measured by admitting alone). The retirement's rebuild
+// leaves one class, which keeps its component record and lists, so the
+// completion, rebuild, re-solve and commit add nothing.
+func TestSolverRetireAdmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	// k flows capped at 10 MB/s share a backbone, each also crossing one
+	// of k+1 private links in rotation. A replacement of 10k MB drains k
+	// seconds after admission, so with one cycle per second exactly one
+	// flow retires per cycle and the population stays k.
+	const k = 8
+	eng := sim.NewEngine()
+	n := NewNet(eng)
+	bb := n.NewLink("bb", Const(1000))
+	paths := make([][]*Link, k+1)
+	for i := range paths {
+		paths[i] = []*Link{bb, n.NewLink("own"+string(rune('a'+i)), Const(100))}
+	}
+	next := 0
+	admit := func(sizeMB float64) {
+		n.StartFunc("", sizeMB, 10, nil, paths[next%len(paths)]...)
+		next++
+	}
+	for i := 1; i <= k; i++ {
+		admit(float64(10 * i))
+	}
+	cycle := func() {
+		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+			panic(err)
+		}
+		if n.ActiveFlows() != k-1 || n.Components() != 1 {
+			panic("cycle did not retire exactly one flow of the component")
+		}
+		admit(10 * k)
+	}
+	for i := 0; i < 2*k; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+
+	eng2 := sim.NewEngine()
+	n2 := NewNet(eng2)
+	path2 := []*Link{n2.NewLink("bb", Const(1000))}
+	alone := testing.AllocsPerRun(200, func() { n2.StartFunc("", 1e9, 10, nil, path2...) })
+	t.Logf("cycle %.1f allocs/op, admission alone %.1f", allocs, alone)
+	if allocs != alone {
+		t.Errorf("retire+admit cycle allocated %.1f allocs/op, want %.1f (the admission alone)", allocs, alone)
+	}
+}

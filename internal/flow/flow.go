@@ -65,7 +65,6 @@
 package flow
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -120,6 +119,8 @@ type component struct {
 	rebuild bool // lost a flow; connectivity must be recomputed before solving
 	queued  bool // already on Net.work
 	dead    bool // merged away, split, or emptied
+
+	nflows, nlinks int // split scratch: list sizes counted before allocation
 }
 
 // Link is a shared resource flows traverse.
@@ -320,9 +321,8 @@ type FlowSpec struct {
 
 // Net is a fluid network bound to a sim engine.
 type Net struct {
-	eng       *sim.Engine
-	links     []*Link
-	linkNames map[string]bool // NewLink rejects duplicates: names key telemetry
+	eng   *sim.Engine
+	links linkSet // NewLink rejects duplicates: names key telemetry
 
 	// activeFlows holds flows in admission order; completed flows linger
 	// as tombstones (finished == true) and are compacted once they are
@@ -369,40 +369,111 @@ type Net struct {
 
 // dueChange stages one completion-heap re-key. Keys are applied one at a
 // time (or in bulk via a rebuild) after the flush, never mid-heap-repair,
-// so every heap.Fix sees a heap that was valid before its single change.
+// so every fix sees a heap that was valid before its single change.
 type dueChange struct {
 	f   *Flow
 	due float64
 }
 
 // compHeap is an indexed min-heap of active flows ordered by completion
-// time, ties broken by admission order. It implements container/heap.
+// time, ties broken by admission order. Its sift operations are
+// container/heap's, typed: no boxing through any, no interface Less or
+// Swap.
 type compHeap []*Flow
 
-func (h compHeap) Len() int { return len(h) }
-func (h compHeap) Less(i, j int) bool {
+func (h compHeap) less(i, j int) bool {
 	if h[i].due != h[j].due {
 		return h[i].due < h[j].due
 	}
 	return h[i].seq < h[j].seq
 }
-func (h compHeap) Swap(i, j int) {
+
+func (h compHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
 	h[j].heapIdx = j
 }
-func (h *compHeap) Push(x any) {
-	f := x.(*Flow)
+
+func (h compHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h compHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// init establishes the heap order over the whole slice.
+func (h compHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *compHeap) push(f *Flow) {
 	f.heapIdx = len(*h)
 	*h = append(*h, f) //pfsim:allocok heap growth is bounded by the peak active-flow population, then reuses capacity
+	h.up(f.heapIdx)
 }
-func (h *compHeap) Pop() any {
+
+// pop removes and returns the flow that drains first.
+func (h *compHeap) pop() *Flow {
+	n := len(*h) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	return h.cut()
+}
+
+// remove takes the flow at index i out of the heap.
+func (h *compHeap) remove(i int) {
+	n := len(*h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	h.cut()
+}
+
+// fix restores the heap order after the flow at index i changed its key.
+func (h compHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+// cut drops the last slot, returning its flow unindexed.
+func (h *compHeap) cut() *Flow {
 	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	f := old[n]
+	old[n] = nil
 	f.heapIdx = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return f
 }
 
@@ -411,10 +482,7 @@ func (n *Net) Observe(o Observer) { n.observer = o }
 
 // NewNet creates an empty network on eng.
 func NewNet(eng *sim.Engine) *Net {
-	n := &Net{
-		eng:       eng,
-		linkNames: map[string]bool{},
-	}
+	n := &Net{eng: eng}
 	n.flushFn = n.flushWork
 	n.completionFn = n.onCompletion
 	return n
@@ -430,17 +498,15 @@ func (n *Net) Engine() *sim.Engine { return n.eng }
 // see a clash coming check HasLink first and surface an error
 // (lustre.NewSharedSystem validates its prefix this way).
 func (n *Net) NewLink(name string, model CapacityModel) *Link {
-	if n.linkNames[name] {
+	l, ok := n.links.add(name, model, n)
+	if !ok {
 		panic(fmt.Sprintf("flow: duplicate link name %q", name))
 	}
-	n.linkNames[name] = true
-	l := &Link{name: name, model: model, net: n, compIdx: -1}
-	n.links = append(n.links, l)
 	return l
 }
 
 // HasLink reports whether a link with the given name exists on the net.
-func (n *Net) HasLink(name string) bool { return n.linkNames[name] }
+func (n *Net) HasLink(name string) bool { return n.links.has(name) }
 
 // ActiveFlows reports the number of unfinished flows.
 func (n *Net) ActiveFlows() int { return n.activeCount }
@@ -490,7 +556,7 @@ func (n *Net) UseReferenceSolver(on bool) {
 			f.heapIdx = len(n.completions)
 			n.completions = append(n.completions, f)
 		}
-		heap.Init(&n.completions)
+		n.completions.init()
 		n.stats.HeapOps += int64(len(n.completions))
 		n.scheduleNext()
 	}
@@ -576,7 +642,7 @@ func (n *Net) admit(sp FlowSpec) *Flow {
 	if !n.reference {
 		// A +Inf key sinks to the heap's bottom for free; the coalesced
 		// solve assigns the real completion time.
-		heap.Push(&n.completions, f)
+		n.completions.push(f)
 		n.stats.HeapOps++
 	}
 	n.markDirty(f.comp)
@@ -820,18 +886,21 @@ func (n *Net) flushRebuilds() {
 }
 
 // rebuildComponent splits a component after retirements: a union-find pass
-// over the surviving flows' links rediscovers connectivity, and each
-// resulting class becomes a fresh dirty component. Every child is dirty by
-// construction — a retired flow freed capacity on its links, and (by
-// connectivity of the original component) every surviving class contains
-// at least one such link.
+// over the surviving flows' links rediscovers connectivity. Every
+// surviving class is dirty by construction — a retired flow freed
+// capacity on its links, and (by connectivity of the original component)
+// every surviving class contains at least one such link.
 //
-//pfsim:allocok connectivity rebuilds run on flow retirement, amortised over the retired flow's lifetime — not steady-state work
+// Most rebuilds leave a single class. The component then stays alive in
+// place, at its queue position, with its flow list compacted in
+// admission order and its link list as it stands (retire already
+// detached the idle links, and link order never affects a solve), so the
+// common rebuild allocates nothing. A real split gives each class a fresh
+// dirty component whose lists are counted first and allocated exactly.
+//
+//pfsim:allocok a real split allocates its children's records and exactly sized lists; the single-class rebuild allocates nothing
 func (n *Net) rebuildComponent(c *component) {
 	c.rebuild = false
-	c.dirty = false
-	c.dead = true
-	n.deadComps++
 	n.dsuEpoch++
 	epoch := n.dsuEpoch
 	for _, f := range c.flows {
@@ -853,6 +922,52 @@ func (n *Net) rebuildComponent(c *component) {
 			}
 		}
 	}
+	// Count the classes, marking each root seen with the parent itself.
+	classes := 0
+	for _, f := range c.flows {
+		if f.finished {
+			continue
+		}
+		if len(f.path) == 0 {
+			classes++
+			continue
+		}
+		if root := findRoot(f.path[0]); root.child == nil {
+			root.child = c
+			classes++
+		}
+	}
+	if classes == 1 {
+		w := 0
+		for _, f := range c.flows {
+			if !f.finished {
+				c.flows[w] = f
+				w++
+			}
+		}
+		clear(c.flows[w:])
+		c.flows = c.flows[:w]
+		c.dirty = true
+		return
+	}
+	c.dirty = false
+	c.dead = true
+	n.deadComps++
+	if classes > 1 {
+		n.split(c)
+	}
+	c.flows, c.links = nil, nil
+}
+
+// split hands each surviving class of a rebuilt component (roots marked
+// with c by rebuildComponent) a fresh dirty child. Children are born in
+// the order of their first flow; each child's flows keep admission order
+// and its links are numbered in discovery order, then both lists are
+// filled at their exact sizes.
+//
+//pfsim:allocok component records and their exactly sized lists are born on real splits, which retirement pays for — not steady-state work
+func (n *Net) split(c *component) {
+	first := len(n.work)
 	for _, f := range c.flows {
 		if f.finished {
 			continue
@@ -860,7 +975,7 @@ func (n *Net) rebuildComponent(c *component) {
 		var child *component
 		if len(f.path) > 0 {
 			root := findRoot(f.path[0])
-			if root.child == nil {
+			if root.child == c {
 				root.child = n.newDirtyChild()
 			}
 			child = root.child
@@ -868,16 +983,30 @@ func (n *Net) rebuildComponent(c *component) {
 			child = n.newDirtyChild()
 		}
 		f.comp = child
-		child.flows = append(child.flows, f) // c.flows order = admission order
+		child.nflows++
 		for _, l := range f.path {
 			if l.comp != child {
 				l.comp = child
-				l.compIdx = len(child.links)
-				child.links = append(child.links, l)
+				l.compIdx = child.nlinks
+				child.nlinks++
 			}
 		}
 	}
-	c.flows, c.links = nil, nil
+	for _, child := range n.work[first:] {
+		child.flows = make([]*Flow, 0, child.nflows)
+		child.links = make([]*Link, child.nlinks)
+		child.nflows, child.nlinks = 0, 0
+	}
+	for _, f := range c.flows {
+		if f.finished {
+			continue
+		}
+		child := f.comp
+		child.flows = append(child.flows, f) // c.flows order = admission order
+		for _, l := range f.path {
+			child.links[l.compIdx] = l
+		}
+	}
 }
 
 // newDirtyChild allocates a rebuilt component, pre-queued and dirty.
@@ -1165,14 +1294,15 @@ func sortCapped(fs []*Flow) {
 // (cap, admission) order, bottleneck flows in admission order — so results
 // are bit-identical while the implementations stay independent.
 func (n *Net) assignRatesReference() {
-	links := n.links
+	nlinks := n.links.n
 	n.solveEpoch++
 	epoch := n.solveEpoch
 	n.stats.Solves++
 	n.stats.ComponentsSolved++
 	n.stats.ComponentFlowsScanned += int64(n.activeCount)
-	n.stats.LinkVisits += int64(len(links))
-	for _, l := range links {
+	n.stats.LinkVisits += int64(nlinks)
+	for i := 0; i < nlinks; i++ {
+		l := n.links.at(i)
 		l.residual = l.model.Capacity(l.active)
 		l.unfixed = 0
 		l.saturated = false
@@ -1192,8 +1322,9 @@ func (n *Net) assignRatesReference() {
 		n.stats.Rounds++
 		n.stats.FlowsScanned += int64(n.activeCount)
 		minShare := math.Inf(1)
-		n.stats.LinkVisits += int64(len(links))
-		for _, l := range links {
+		n.stats.LinkVisits += int64(nlinks)
+		for i := 0; i < nlinks; i++ {
+			l := n.links.at(i)
 			if l.unfixed == 0 {
 				continue
 			}
@@ -1245,8 +1376,9 @@ func (n *Net) assignRatesReference() {
 			return
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
-		n.stats.LinkVisits += int64(len(links))
-		for _, l := range links {
+		n.stats.LinkVisits += int64(nlinks)
+		for i := 0; i < nlinks; i++ {
+			l := n.links.at(i)
 			if l.unfixed == 0 {
 				continue
 			}
@@ -1328,7 +1460,7 @@ func fixFlow(f *Flow, rate float64, epoch int64) {
 // if every flow stalls the engine's deadlock detector reports the hang.
 //
 // Incremental mode applies the flush's staged re-keys to the completion
-// heap (one heap.Fix per moved flow, or a single rebuild when at least
+// heap (one fix per moved flow, or a single rebuild when at least
 // half the keys moved) and peeks the root; the engine event is moved in
 // place via Reschedule. Completion times are absolute anchors
 // (settle time + remaining/rate), identical in both modes, so the event
@@ -1360,12 +1492,12 @@ func (n *Net) scheduleNext() {
 			for _, dc := range n.dueChanged {
 				dc.f.due = dc.due
 			}
-			heap.Init(&n.completions)
+			n.completions.init()
 			n.stats.HeapOps += int64(len(n.completions))
 		} else {
 			for _, dc := range n.dueChanged {
 				dc.f.due = dc.due
-				heap.Fix(&n.completions, dc.f.heapIdx)
+				n.completions.fix(dc.f.heapIdx)
 				n.stats.HeapOps++
 			}
 		}
@@ -1411,7 +1543,7 @@ func (n *Net) onCompletion() {
 		// Equal dues pop in admission (seq) order — the same order the
 		// reference scan collects them in.
 		for len(n.completions) > 0 && n.completions[0].due <= now {
-			f := heap.Pop(&n.completions).(*Flow)
+			f := n.completions.pop()
 			n.stats.HeapOps++
 			done = append(done, f) //pfsim:allocok completion-batch scratch grows to the peak batch, then reuses capacity
 		}
@@ -1465,7 +1597,7 @@ func (n *Net) onCompletion() {
 // the active set, and marks its component for a lazy connectivity rebuild.
 func (n *Net) retire(f *Flow) {
 	if f.heapIdx >= 0 {
-		heap.Remove(&n.completions, f.heapIdx)
+		n.completions.remove(f.heapIdx)
 		n.stats.HeapOps++
 	}
 	for _, l := range f.path {
@@ -1535,8 +1667,8 @@ func (n *Net) CheckInvariants() error {
 	}
 	now := n.eng.Now()
 	// loads is order-safe as long as it is never ranged: it is filled in
-	// admission order and read only by direct indexing from the n.links
-	// slice loop below (maporder would flag any future range over it).
+	// admission order and read only by direct indexing from the link
+	// loop below (maporder would flag any future range over it).
 	loads := make(map[*Link]float64)
 	live := 0
 	for _, f := range n.activeFlows {
@@ -1575,7 +1707,8 @@ func (n *Net) CheckInvariants() error {
 		return fmt.Errorf("flow: active count %d but %d live flows listed", n.activeCount, live)
 	}
 	activeLinks := 0
-	for _, l := range n.links {
+	for i := 0; i < n.links.n; i++ {
+		l := n.links.at(i)
 		cap := l.model.Capacity(l.active)
 		if load := loads[l]; load > cap*(1+1e-6)+1e-9 {
 			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.name, load, cap)

@@ -724,3 +724,34 @@ func TestNewLinkRejectsDuplicateNames(t *testing.T) {
 	}()
 	n.NewLink("ost0", Const(100))
 }
+
+// TestLinkRegistryAcrossSlabs: links outlive the slab and name-table
+// growth that later NewLink calls trigger — every link keeps its address
+// and name, HasLink answers for all of them and for absent names, and a
+// duplicate of an early name still panics.
+func TestLinkRegistryAcrossSlabs(t *testing.T) {
+	n := NewNet(sim.NewEngine())
+	const count = 3*linkSlab + 5
+	links := make([]*Link, count)
+	for i := range links {
+		links[i] = n.NewLink(fmt.Sprintf("l%d", i), Const(float64(i+1)))
+	}
+	for i, l := range links {
+		name := fmt.Sprintf("l%d", i)
+		if l.Name() != name || l.Model() != Const(float64(i+1)) || n.links.at(i) != l {
+			t.Fatalf("link %d reads %q (model %v), want %q", i, l.Name(), l.Model(), name)
+		}
+		if !n.HasLink(name) {
+			t.Errorf("HasLink(%s) = false", name)
+		}
+		if n.HasLink(fmt.Sprintf("m%d", i)) {
+			t.Errorf("HasLink(m%d) = true for an absent link", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate NewLink did not panic")
+		}
+	}()
+	n.NewLink("l3", Const(1))
+}

@@ -249,6 +249,9 @@ type job struct {
 	cfg Config
 	res *Result
 	err error
+	// files are the shared file of each repetition (nil for FilePerProc
+	// jobs, whose ranks open private files).
+	files []*mpiio.File
 }
 
 func (j *job) launch() *mpi.World {
@@ -256,146 +259,245 @@ func (j *job) launch() *mpi.World {
 	w := mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
 	// Shared files are allocated up front so every rank of a repetition
 	// uses the same handle; layouts are still drawn at Open time.
-	files := make([]*mpiio.File, cfg.Reps)
 	if !cfg.FilePerProc {
-		for rep := range files {
-			files[rep] = mpiio.NewFile(j.sys, w.Comm(),
+		j.files = make([]*mpiio.File, cfg.Reps)
+		for rep := range j.files {
+			j.files[rep] = mpiio.NewFile(j.sys, w.Comm(),
 				fmt.Sprintf("%s.rep%d", cfg.Label, rep), cfg.API, cfg.Hints)
 		}
 	}
 	w.LaunchTasks(func(r *mpi.Rank, done func()) {
-		j.runRepK(w, r, files, 0, done)
+		rr := &rankRun{j: j, r: r, done: done}
+		rr.step = rr.stepK
+		rr.stepF = rr.stepFK
+		rr.stepErr = rr.stepErrK
+		if cfg.FilePerProc {
+			rr.stepComm = rr.privateFile
+		}
+		rr.startRep()
 	})
 	return w
 }
 
-// runRepK runs repetition rep and then the next: the compute gap precedes
-// every repetition but the first, a FilePerProc rank splits off its
-// private communicator and file per repetition, and a phase error stops
-// this rank only if it is the first error of the job.
-func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, done func()) {
-	cfg := &j.cfg
-	if rep >= cfg.Reps {
-		done()
-		return
-	}
-	run := func() {
-		withFile := func(k func(*mpiio.File)) {
-			if cfg.FilePerProc {
-				w.Comm().SplitK(r, r.ID(), 0, func(sub *mpi.Comm) {
-					k(mpiio.NewFile(j.sys, sub,
-						fmt.Sprintf("%s.rep%d.rank%d", cfg.Label, rep, r.ID()), cfg.API, cfg.Hints))
-				})
-				return
-			}
-			k(files[rep])
-		}
-		withFile(func(f *mpiio.File) {
-			j.phaseK(w, r, f, func(err error) {
-				if err != nil && j.err == nil {
-					j.err = err
-					done()
-					return
-				}
-				j.runRepK(w, r, files, rep+1, done)
-			})
-		})
-	}
-	if rep > 0 && cfg.ComputeSeconds > 0 {
-		r.Task().Sleep(cfg.ComputeSeconds, run)
-		return
-	}
-	run()
+// at is where a rank's repetition resumes next.
+type at int32
+
+const (
+	atComputed    at = iota // the compute gap before a repetition ended
+	atBarrier               // the opening barrier passed
+	atT0                    // the write phase's start time is agreed
+	atOpened                // the file is open
+	atWritten               // the rank's write finished
+	atClosed                // the file is closed
+	atT1                    // the write phase's end time is agreed
+	atReadBarrier           // the read phase's barrier passed
+	atReadT0                // the read phase's start time is agreed
+	atRead                  // the rank's read finished
+	atReadT1                // the read phase's end time is agreed
+)
+
+// rankRun is one rank's progress through the job's repetitions: the
+// repetition, its file and start time, and where the rank resumes next.
+// Its continuations are method values bound once per rank, one per
+// signature (step, stepF, stepErr, and stepComm for a FilePerProc
+// rank's split), so a repetition allocates no closures; each blocking
+// call sets at and passes the stepper matching the callee's
+// continuation type.
+type rankRun struct {
+	j    *job
+	r    *mpi.Rank
+	done func()
+
+	rep int32
+	at  at
+	t0  float64
+	f   *mpiio.File
+
+	step     func()
+	stepF    func(float64)
+	stepErr  func(error)
+	stepComm func(*mpi.Comm) // FilePerProc only
 }
 
-// phaseK runs the write (and optional read) phase of one repetition:
-// barrier/reduce brackets around open-write-close and the read pass, with
-// rank 0 recording the aggregate bandwidths.
-func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := &j.cfg
-	t := r.Task()
-	readPhase := func() {
-		if !cfg.ReadFile {
-			k(nil)
-			return
-		}
-		w.Comm().BarrierK(r, func() {
-			w.Comm().AllreduceMinK(r, t.Now(), func(t0 float64) {
-				f.ReadAllK(r, cfg.PerRankMB(), cfg.TransferSizeMB, func(err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					w.Comm().AllreduceMaxK(r, t.Now(), func(t1 float64) {
-						if w.Comm().RankOf(r) == 0 {
-							j.res.Read.Add(cfg.TotalMB() / (t1 - t0))
-						}
-						k(nil)
-					})
-				})
-			})
-		})
+// startRep runs repetition rep, or retires the rank after the last: the
+// compute gap precedes every repetition but the first.
+func (rr *rankRun) startRep() {
+	cfg := &rr.j.cfg
+	if int(rr.rep) >= cfg.Reps {
+		rr.done()
+		return
 	}
-	w.Comm().BarrierK(r, func() {
-		if !cfg.WriteFile {
-			readPhase()
-			return
-		}
-		w.Comm().AllreduceMinK(r, t.Now(), func(t0 float64) {
-			f.OpenK(r, func(err error) {
-				if err != nil {
-					k(err)
-					return
-				}
-				j.doWriteK(r, f, func(err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					f.CloseK(r, func() {
-						w.Comm().AllreduceMaxK(r, t.Now(), func(t1 float64) {
-							if w.Comm().RankOf(r) == 0 {
-								j.record(j.res.Write, f, t1-t0)
-							}
-							readPhase()
-						})
-					})
-				})
-			})
-		})
-	})
+	if rr.rep > 0 && cfg.ComputeSeconds > 0 {
+		rr.at = atComputed
+		rr.r.Task().Sleep(cfg.ComputeSeconds, rr.step)
+		return
+	}
+	rr.openFile()
 }
 
-// doWriteK issues the rank's write for the configured access pattern.
-func (j *job) doWriteK(r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := &j.cfg
+// openFile picks the repetition's file — a FilePerProc rank splits off its
+// private communicator and file — and starts the write (and optional
+// read) phase.
+func (rr *rankRun) openFile() {
+	if rr.j.cfg.FilePerProc {
+		rr.r.World().Comm().SplitK(rr.r, rr.r.ID(), 0, rr.stepComm)
+		return
+	}
+	rr.f = rr.j.files[rr.rep]
+	rr.begin()
+}
+
+// privateFile opens a FilePerProc rank's file on its split communicator.
+//
+//pfsim:allocok per-repetition private file: a communicator, a file and its name per rank and repetition
+func (rr *rankRun) privateFile(sub *mpi.Comm) {
+	cfg := &rr.j.cfg
+	rr.f = mpiio.NewFile(rr.j.sys, sub,
+		fmt.Sprintf("%s.rep%d.rank%d", cfg.Label, rr.rep, rr.r.ID()), cfg.API, cfg.Hints)
+	rr.begin()
+}
+
+// begin runs one repetition's phases: barrier/reduce brackets around
+// open-write-close and the read pass, with rank 0 recording the aggregate
+// bandwidths.
+func (rr *rankRun) begin() {
+	rr.at = atBarrier
+	rr.r.World().Comm().BarrierK(rr.r, rr.step)
+}
+
+// readPhase runs the optional read pass, or ends the repetition.
+func (rr *rankRun) readPhase() {
+	if !rr.j.cfg.ReadFile {
+		rr.endRep(nil)
+		return
+	}
+	rr.at = atReadBarrier
+	rr.r.World().Comm().BarrierK(rr.r, rr.step)
+}
+
+// endRep moves on to the next repetition; a phase error stops this rank
+// only if it is the first error of the job.
+func (rr *rankRun) endRep(err error) {
+	if err != nil && rr.j.err == nil {
+		rr.j.err = err
+		rr.done()
+		return
+	}
+	rr.rep++
+	rr.startRep()
+}
+
+// stepK resumes the rank after a step without a result.
+//
+//pfsim:hotpath
+func (rr *rankRun) stepK() {
+	r := rr.r
+	c := r.World().Comm()
+	switch rr.at {
+	case atComputed:
+		rr.openFile()
+	case atBarrier:
+		if !rr.j.cfg.WriteFile {
+			rr.readPhase()
+			return
+		}
+		rr.at = atT0
+		c.AllreduceMinK(r, r.Task().Now(), rr.stepF)
+	case atClosed:
+		rr.at = atT1
+		c.AllreduceMaxK(r, r.Task().Now(), rr.stepF)
+	case atReadBarrier:
+		rr.at = atReadT0
+		c.AllreduceMinK(r, r.Task().Now(), rr.stepF)
+	case atWritten:
+		rr.stepErrK(nil) // a file-per-process write's streams drained
+	}
+}
+
+// stepFK resumes the rank with an agreed phase start or end time.
+//
+//pfsim:hotpath
+func (rr *rankRun) stepFK(v float64) {
+	j, r := rr.j, rr.r
+	c := r.World().Comm()
+	switch rr.at {
+	case atT0:
+		rr.t0 = v
+		rr.at = atOpened
+		rr.f.OpenK(r, rr.stepErr)
+	case atT1:
+		if c.RankOf(r) == 0 {
+			j.record(j.res.Write, rr.f, v-rr.t0)
+		}
+		rr.readPhase()
+	case atReadT0:
+		rr.t0 = v
+		rr.at = atRead
+		rr.f.ReadAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, rr.stepErr)
+	case atReadT1:
+		if c.RankOf(r) == 0 {
+			j.res.Read.Add(j.cfg.TotalMB() / (v - rr.t0))
+		}
+		rr.endRep(nil)
+	}
+}
+
+// stepErrK resumes the rank after a file operation, ending the
+// repetition early on an error.
+//
+//pfsim:hotpath
+func (rr *rankRun) stepErrK(err error) {
+	if err != nil {
+		rr.endRep(err)
+		return
+	}
+	r := rr.r
+	switch rr.at {
+	case atOpened:
+		rr.at = atWritten
+		rr.write()
+	case atWritten:
+		rr.at = atClosed
+		rr.f.CloseK(r, rr.step)
+	case atRead:
+		rr.at = atReadT1
+		r.World().Comm().AllreduceMaxK(r, r.Task().Now(), rr.stepF)
+	}
+}
+
+// write issues the rank's write for the configured access pattern; the
+// rank resumes at atWritten.
+func (rr *rankRun) write() {
+	cfg := &rr.j.cfg
 	per := cfg.PerRankMB()
 	switch {
 	case cfg.FilePerProc:
-		j.writeFilePerProcK(r, f, k)
+		rr.writeFilePerProc()
 	case cfg.Collective:
-		f.WriteAllK(r, per, cfg.TransferSizeMB, k)
+		rr.f.WriteAllK(rr.r, per, cfg.TransferSizeMB, rr.stepErr)
 	default:
-		f.WriteIndependentK(r, per, cfg.TransferSizeMB, k)
+		rr.f.WriteIndependentK(rr.r, per, cfg.TransferSizeMB, rr.stepErr)
 	}
 }
 
-// writeFilePerProcK streams the rank's data to its private file as a
+// writeFilePerProc streams the rank's data to its private file as a
 // dedicated sequential writer — the access pattern of the paper's
 // single-OST contention benchmark.
-func (j *job) writeFilePerProcK(r *mpi.Rank, f *mpiio.File, k func(error)) {
+func (rr *rankRun) writeFilePerProc() {
+	j, r, f := rr.j, rr.r, rr.f
 	layout := f.Layout()
 	if layout == nil {
 		// PLFS + FilePerProc degenerates to the same per-rank logs.
-		f.WriteAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, k)
+		f.WriteAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, rr.stepErr)
 		return
 	}
-	t := r.Task()
-	sim.AwaitAll(t, flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout))), func() { k(nil) })
+	sim.AwaitAll(r.Task(), flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout))), rr.step) //pfsim:allocok the rank's streams and their signal list, once per repetition
 }
 
 // filePerProcReqs builds the rank's dedicated sequential streams onto its
 // private file's OSTs.
+//
+//pfsim:allocok the rank's write requests and stream names, one batch per repetition
 func (j *job) filePerProcReqs(r *mpi.Rank, f *mpiio.File, layout *lustre.Layout) []lustre.WriteReq {
 	shares := layout.BytesPerOST(j.cfg.PerRankMB())
 	var reqs []lustre.WriteReq
@@ -427,6 +529,8 @@ func fileIDOf(f *mpiio.File, r *mpi.Rank) int {
 }
 
 // record captures bandwidth and layout telemetry for one repetition.
+//
+//pfsim:allocok rank 0's per-repetition telemetry
 func (j *job) record(sample *stats.Sample, f *mpiio.File, elapsed float64) {
 	sample.Add(j.cfg.TotalMB() / elapsed)
 	if c := f.Container(); c != nil {

@@ -86,6 +86,7 @@ func (w *World) Done() *sim.Signal { return w.done }
 func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 	for i := 0; i < w.size; i++ {
 		rank := &Rank{world: w, id: i}
+		rank.wakeFn = rank.wake
 		rank.task = w.eng.StartTask(0, "rank", i, func(*sim.Task) {
 			body(rank, rank.finish)
 		})
@@ -93,10 +94,43 @@ func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 }
 
 // Rank is one simulated MPI process.
+//
+// A rank blocks in at most one collective at a time, so the continuation
+// it parks there lives on the rank itself, with the rendezvous it reads
+// on resuming: a waiting rank parks wakeFn, and so does a last arriver
+// paying the tree latency. wakeFn is bound once when the rank starts
+// instead of wrapping every call's continuation in a fresh closure.
 type Rank struct {
 	world *World
 	id    int
 	task  *sim.Task
+
+	rv     *rendezvous   // the collective whose continuation is parked
+	k      func()        // parked barrier continuation
+	kf     func(float64) // parked reduction continuation
+	fire   bool          // a last arriver's: fire rv before continuing
+	wakeFn func()        // bound wake
+}
+
+// hold parks the rank's continuation for rendezvous rv; exactly one of k
+// and kf is set, and fire marks a last arriver's release.
+func (r *Rank) hold(rv *rendezvous, k func(), kf func(float64), fire bool) {
+	r.rv, r.k, r.kf, r.fire = rv, k, kf, fire
+}
+
+// wake resumes the parked continuation: a last arriver first fires the
+// signal releasing the others, and a reduction receives the result.
+func (r *Rank) wake() {
+	rv, k, kf, fire := r.rv, r.k, r.kf, r.fire
+	r.hold(nil, nil, nil, false)
+	if fire {
+		rv.sig.Fire()
+	}
+	if kf != nil {
+		kf(rv.f)
+		return
+	}
+	k()
 }
 
 // ID returns the world rank number.
@@ -234,10 +268,8 @@ func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
 //pfsim:hotpath
 func (c *Comm) release(r *Rank, rv *rendezvous, k func()) {
 	if lat := c.latency(); lat > 0 {
-		r.task.Sleep(lat, func() { //pfsim:allocok the last arriver's release closure, one per collective
-			rv.sig.Fire()
-			k()
-		})
+		r.hold(rv, k, nil, true)
+		r.task.Sleep(lat, r.wakeFn)
 		return
 	}
 	rv.sig.Fire()
@@ -261,22 +293,22 @@ func (c *Comm) collectiveK(r *Rank, val float64, finalize func([]float64) any, k
 
 // reduceK is the shared float64 path of the typed reductions: op folds
 // the contributions, indexed by comm rank, into the result every rank
-// receives through k. The last arriver releases the others as release
-// does, without wrapping k in a second closure.
+// receives through k. Waiters park k on their rank and resume through
+// the rank's bound wakeFn; the last arriver releases the others as
+// release does. Neither side wraps k in a closure.
 //
 //pfsim:hotpath
 func (c *Comm) reduceK(r *Rank, v float64, op func(*Comm, []float64) float64, k func(float64)) {
 	rv, last := c.arrive(r, v)
 	if !last {
-		rv.sig.Await(r.task, func() { k(rv.f) }) //pfsim:allocok the per-waiter resume closure
+		r.hold(rv, nil, k, false)
+		rv.sig.Await(r.task, r.wakeFn)
 		return
 	}
 	rv.f = op(c, rv.vals)
 	if lat := c.latency(); lat > 0 {
-		r.task.Sleep(lat, func() { //pfsim:allocok the last arriver's release closure, one per collective
-			rv.sig.Fire()
-			k(rv.f)
-		})
+		r.hold(rv, nil, k, true)
+		r.task.Sleep(lat, r.wakeFn)
 		return
 	}
 	rv.sig.Fire()

@@ -93,13 +93,71 @@ type File struct {
 
 	// PLFS state.
 	container *plfs.Container
-	logs      map[int]*plfs.RankLog
 
 	openSig *sim.Signal
-	opSeq   map[int]int
-	opSigs  map[int]*sim.Signal
+	ops     []rankOp // comm rank → operation state, allocated on first use
+	// opRing holds the rendezvous signals of rank-0-led operations, two
+	// per kind, operation idx using opRing[kind][idx&1] armed as idx
+	// (opArmed): every such operation starts with an allreduce, so no
+	// rank reaches operation idx+2 before every rank has resumed from
+	// idx, and a slot is never re-armed under a waiter. Signals are
+	// named lazily, "<kind>:<file>:<idx>".
+	opRing  [numOpKinds][2]*sim.Signal
+	opArmed [numOpKinds][2]int
 	opened  bool
 	closed  bool
+}
+
+// opKind names a rank-0-led collective operation.
+type opKind uint8
+
+const (
+	opPLFSWrite opKind = iota
+	opWriteAll
+	opReadAll
+	numOpKinds
+)
+
+var opKindNames = [numOpKinds]string{"plfswrite", "writeall", "readall"}
+
+// phase is where a rank's operation on a File resumes next.
+type phase uint8
+
+const (
+	phaseOpenJoin   phase = iota // open: synchronise every rank
+	phaseOpenDone                // open: all ranks joined
+	phaseOpenMeta                // open, PLFS root: container metadata created
+	phaseOpenLog                 // open, PLFS: create the rank's logs
+	phaseOpLed                   // rank-0-led operation: rank 0 finished the work
+	phaseOpFollow                // rank-0-led operation: rank 0 released the others
+	phaseReadLogged              // PLFS read: the log replay finished
+	phaseReadDone                // PLFS read: all ranks joined
+	phaseIndepDone               // independent write: the streams drained
+	phaseCloseJoin               // close: the rank's logs are flushed
+	phaseCloseLead               // close: first barrier passed
+	phaseCloseStat               // close, rank 0: final metadata update done
+)
+
+// rankOp is one rank's state on a File: its PLFS log and the operation in
+// progress. A rank runs one operation at a time, so the caller's
+// continuation is parked here and the operation's steps resume through
+// step, stepF, stepErr and stepLog — method values bound once per rank
+// and file, each on its first use — instead of a closure per step.
+type rankOp struct {
+	f     *File
+	r     *mpi.Rank
+	log   *plfs.RankLog
+	phase phase
+	kind  opKind  // the current rank-0-led operation
+	seq   int32   // the rank's rank-0-led operations so far
+	xfer  float64 // the current operation's transfer size
+	k     func()
+	kErr  func(error)
+
+	step    func()
+	stepF   func(float64)
+	stepErr func(error)
+	stepLog func(*plfs.RankLog, error)
 }
 
 // NewFile prepares a file handle shared by a communicator. It performs no
@@ -111,11 +169,148 @@ func NewFile(sys *lustre.System, comm *mpi.Comm, name string, driver Driver, hin
 		name:    name,
 		driver:  driver,
 		hints:   hints,
-		logs:    make(map[int]*plfs.RankLog),
 		openSig: sys.Engine().NewSignal("open:" + name),
-		opSeq:   make(map[int]int),
-		opSigs:  make(map[int]*sim.Signal),
 	}
+}
+
+// op returns r's operation state, binding step on first use.
+//
+//pfsim:allocok per-file rank state: one slab per file and one binding per stepper and rank
+func (f *File) op(r *mpi.Rank) *rankOp {
+	if f.ops == nil {
+		f.ops = make([]rankOp, f.comm.Size())
+	}
+	o := &f.ops[f.comm.RankOf(r)]
+	if o.r == nil {
+		o.f, o.r = f, r
+		o.step = o.stepK
+	}
+	return o
+}
+
+// bindErr binds stepErr on its first use.
+//
+//pfsim:allocok one binding per rank and file
+func (o *rankOp) bindErr() func(error) {
+	if o.stepErr == nil {
+		o.stepErr = o.stepErrK
+	}
+	return o.stepErr
+}
+
+// sig returns the rendezvous signal of the rank's current rank-0-led
+// operation.
+func (o *rankOp) sig() *sim.Signal { return o.f.opRing[o.kind][(o.seq-1)&1] }
+
+// finish clears the parked continuation and runs it with err.
+func (o *rankOp) finish(err error) {
+	k := o.kErr
+	o.kErr = nil
+	k(err)
+}
+
+// stepK advances the rank's operation to its next phase.
+//
+//pfsim:hotpath
+func (o *rankOp) stepK() {
+	f, r := o.f, o.r
+	t := r.Task()
+	switch o.phase {
+	case phaseOpenJoin:
+		o.phase = phaseOpenDone
+		f.comm.BarrierK(r, o.step)
+	case phaseOpenDone:
+		f.opened = true
+		o.finish(nil)
+	case phaseOpenMeta:
+		f.openSig.Fire()
+		o.phase = phaseOpenLog
+		o.stepK()
+	case phaseOpenLog:
+		if !f.openSig.Fired() {
+			f.openSig.Await(t, o.step)
+			return
+		}
+		if o.stepLog == nil {
+			o.stepLog = o.stepLogK //pfsim:allocok one binding per PLFS rank and file
+		}
+		f.container.OpenRankK(t, r.ID(), o.stepLog)
+	case phaseOpLed:
+		o.sig().Fire()
+		o.finish(nil)
+	case phaseOpFollow, phaseReadDone, phaseIndepDone:
+		o.finish(nil)
+	case phaseCloseJoin:
+		o.phase = phaseCloseLead
+		f.comm.BarrierK(r, o.step)
+	case phaseCloseLead:
+		if f.comm.RankOf(r) == 0 && !f.closed {
+			o.phase = phaseCloseStat
+			f.sys.MDS().StatK(t, o.step)
+			return
+		}
+		k := o.k
+		o.k = nil
+		f.comm.BarrierK(r, k)
+	case phaseCloseStat:
+		f.closed = true
+		k := o.k
+		o.k = nil
+		f.comm.BarrierK(r, k)
+	}
+}
+
+// stepTotal continues a rank-0-led operation with the allreduced volume:
+// rank 0 does the work and then releases the others, who wait on the
+// operation's signal.
+//
+//pfsim:hotpath
+func (o *rankOp) stepTotal(total float64) {
+	f, r := o.f, o.r
+	t := r.Task()
+	sig := f.opSignal(o)
+	if f.comm.RankOf(r) != 0 {
+		o.phase = phaseOpFollow
+		sig.Await(t, o.step)
+		return
+	}
+	o.phase = phaseOpLed
+	if o.kind == opPLFSWrite {
+		f.container.BatchWriteK(t, total/float64(f.comm.Size()), o.xfer, o.bindErr()) //pfsim:allocok bindErr (inlined) binds once per rank and file
+		return
+	}
+	f.collectiveWriteK(t, total, o.step)
+}
+
+// stepErrK resumes the rank's operation after a step that can fail.
+//
+//pfsim:hotpath
+func (o *rankOp) stepErrK(err error) {
+	switch o.phase {
+	case phaseOpLed:
+		o.sig().Fire()
+		o.finish(err)
+	case phaseReadLogged:
+		if err != nil {
+			o.finish(err)
+			return
+		}
+		o.phase = phaseReadDone
+		o.f.comm.BarrierK(o.r, o.step)
+	}
+}
+
+// stepLogK records the rank's freshly opened PLFS log and joins the open.
+//
+//pfsim:hotpath
+func (o *rankOp) stepLogK(rl *plfs.RankLog, err error) {
+	if err != nil {
+		o.finish(err)
+		return
+	}
+	o.log = rl
+	o.phase = phaseOpenJoin
+	o.stepK()
 }
 
 // Name returns the file name.
@@ -155,51 +350,35 @@ func (f *File) spec() lustre.StripeSpec {
 // synchronise before k receives the result — MPI_File_open semantics.
 func (f *File) OpenK(r *mpi.Rank, k func(error)) {
 	t := r.Task()
+	o := f.op(r)
+	o.kErr = k
 	isRoot := f.comm.RankOf(r) == 0
-	join := func() {
-		f.comm.BarrierK(r, func() {
-			f.opened = true
-			k(nil)
-		})
-	}
 	switch f.driver {
 	case DriverPLFS:
-		openLog := func() {
-			f.openSig.Await(t, func() {
-				f.container.OpenRankK(t, r.ID(), func(rl *plfs.RankLog, err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					f.logs[r.ID()] = rl
-					join()
-				})
-			})
-		}
 		if isRoot {
 			f.container = plfs.NewContainer(f.sys, f.name)
-			f.container.CreateMetaK(t, func() {
-				f.openSig.Fire()
-				openLog()
-			})
+			o.phase = phaseOpenMeta
+			f.container.CreateMetaK(t, o.step)
 			return
 		}
-		openLog()
+		o.phase = phaseOpenLog
+		o.stepK()
 	default:
+		o.phase = phaseOpenJoin
 		if isRoot {
 			f.sys.MDS().CreateK(t, f.name, f.spec(), func(lf *lustre.File, err error) {
 				if err != nil {
-					k(err)
+					o.finish(err)
 					return
 				}
 				f.lf = lf
 				f.buildAggregators()
 				f.openSig.Fire()
-				join()
+				o.stepK()
 			})
 			return
 		}
-		f.openSig.Await(t, join)
+		f.openSig.Await(t, o.step)
 	}
 }
 
@@ -265,35 +444,22 @@ func (f *File) WriteAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error))
 		k(err)
 		return
 	}
-	t := r.Task()
-	switch f.driver {
-	case DriverPLFS:
-		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig, idx := f.opSignal(r, "plfswrite")
-			if f.comm.RankOf(r) == 0 {
-				f.container.BatchWriteK(t, total/float64(f.comm.Size()), transferMB, func(err error) {
-					delete(f.opSigs, idx)
-					sig.Fire()
-					k(err)
-				})
-				return
-			}
-			sig.Await(t, func() { k(nil) })
-		})
-	default:
-		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig, idx := f.opSignal(r, "writeall")
-			if f.comm.RankOf(r) == 0 {
-				f.collectiveWriteK(t, total, func() {
-					delete(f.opSigs, idx)
-					sig.Fire()
-					k(nil)
-				})
-				return
-			}
-			sig.Await(t, func() { k(nil) })
-		})
+	kind := opWriteAll
+	if f.driver == DriverPLFS {
+		kind = opPLFSWrite
 	}
+	f.ledK(r, kind, sizeMB, transferMB, k)
+}
+
+// ledK runs a rank-0-led operation: the ranks allreduce their volumes,
+// then rank 0 moves the total (stepTotal) while the others wait.
+func (f *File) ledK(r *mpi.Rank, kind opKind, sizeMB, transferMB float64, k func(error)) {
+	o := f.op(r)
+	o.kind, o.xfer, o.kErr = kind, transferMB, k
+	if o.stepF == nil {
+		o.stepF = o.stepTotal //pfsim:allocok one binding per rank and file
+	}
+	f.comm.AllreduceSumK(r, sizeMB, o.stepF)
 }
 
 func (f *File) checkWriteAll(sizeMB, transferMB float64) error {
@@ -307,18 +473,22 @@ func (f *File) checkWriteAll(sizeMB, transferMB float64) error {
 }
 
 // opSignal returns the rendezvous signal for the rank's next rank-0-led
-// collective operation, creating it on first arrival. All ranks issue
-// their operations in the same order, so the per-rank sequence number
-// matches arrivals of one operation across the communicator.
-func (f *File) opSignal(r *mpi.Rank, kind string) (*sim.Signal, int) {
-	idx := f.opSeq[r.ID()]
-	f.opSeq[r.ID()]++
-	sig := f.opSigs[idx]
-	if sig == nil {
-		sig = f.sys.Engine().NewSignal(fmt.Sprintf("%s:%s:%d", kind, f.name, idx))
-		f.opSigs[idx] = sig
+// operation, arming its ring slot on the operation's first arrival. All
+// ranks issue their operations in the same order, so the per-rank
+// sequence number matches arrivals of one operation across the
+// communicator.
+func (f *File) opSignal(o *rankOp) *sim.Signal {
+	idx := int(o.seq)
+	o.seq++
+	slot := &f.opRing[o.kind][idx&1]
+	if *slot == nil {
+		*slot = f.sys.Engine().NewSignal(opKindNames[o.kind] + ":" + f.name + ":") //pfsim:allocok ring fill on the slot's first use, reused for the file's lifetime
+	} else if f.opArmed[o.kind][idx&1] == idx {
+		return *slot
 	}
-	return sig, idx
+	(*slot).Rearm(idx)
+	f.opArmed[o.kind][idx&1] = idx
+	return *slot
 }
 
 // collectiveWriteK launches the two-phase flows for one collective write
@@ -336,11 +506,13 @@ func (f *File) collectiveWriteK(t *sim.Task, totalMB float64, k func()) {
 		k()
 		return
 	}
-	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.collectiveReqs(totalMB))), k)
+	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.collectiveReqs(totalMB))), k) //pfsim:allocok the batch's flows and their signal list, once per collective operation
 }
 
 // collectiveReqs builds the per-aggregator two-phase write requests — the
 // synchronous domain decomposition of collectiveWriteK.
+//
+//pfsim:allocok one request batch and its stream names per collective operation
 func (f *File) collectiveReqs(totalMB float64) []lustre.WriteReq {
 	layout := f.lf.Layout
 	A := len(f.aggLinks)
@@ -400,34 +572,18 @@ func (f *File) ReadAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) 
 		k(err)
 		return
 	}
-	t := r.Task()
-	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
-			k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
-			return
-		}
-		rl.ReadK(t, r.Node(), sizeMB, func(err error) {
-			if err != nil {
-				k(err)
-				return
-			}
-			f.comm.BarrierK(r, func() { k(nil) })
-		})
+	if f.driver != DriverPLFS {
+		f.ledK(r, opReadAll, sizeMB, transferMB, k)
 		return
 	}
-	f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-		sig, idx := f.opSignal(r, "readall")
-		if f.comm.RankOf(r) == 0 {
-			f.collectiveWriteK(t, total, func() {
-				delete(f.opSigs, idx)
-				sig.Fire()
-				k(nil)
-			})
-			return
-		}
-		sig.Await(t, func() { k(nil) })
-	})
+	o := f.op(r)
+	if o.log == nil {
+		k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
+		return
+	}
+	o.kErr = k
+	o.phase = phaseReadLogged
+	o.log.ReadK(r.Task(), r.Node(), sizeMB, o.bindErr()) //pfsim:allocok bindErr (inlined) binds once per rank and file
 }
 
 func (f *File) checkReadAll(sizeMB, transferMB float64) error {
@@ -460,20 +616,22 @@ func (f *File) WriteIndependentK(r *mpi.Rank, sizeMB, transferMB float64, k func
 		return
 	}
 	t := r.Task()
+	o := f.op(r)
 	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
+		if o.log == nil {
 			k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
 			return
 		}
-		rl.WriteK(t, r.Node(), sizeMB, transferMB, k)
+		o.log.WriteK(t, r.Node(), sizeMB, transferMB, k)
 		return
 	}
 	if sizeMB <= 0 {
 		k(nil)
 		return
 	}
-	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB))), func() { k(nil) })
+	o.kErr = k
+	o.phase = phaseIndepDone
+	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB))), o.step)
 }
 
 // independentReqs builds the per-OST streams of one rank's uncoordinated
@@ -511,24 +669,12 @@ func (f *File) independentReqs(r *mpi.Rank, sizeMB, transferMB float64) []lustre
 // rank 0 performs the final metadata update, and all ranks synchronise
 // before k runs.
 func (f *File) CloseK(r *mpi.Rank, k func()) {
-	t := r.Task()
-	barriers := func() {
-		f.comm.BarrierK(r, func() {
-			if f.comm.RankOf(r) == 0 && !f.closed {
-				f.sys.MDS().StatK(t, func() {
-					f.closed = true
-					f.comm.BarrierK(r, k)
-				})
-				return
-			}
-			f.comm.BarrierK(r, k)
-		})
+	o := f.op(r)
+	o.k = k
+	o.phase = phaseCloseJoin
+	if f.driver == DriverPLFS && o.log != nil {
+		o.log.CloseK(r.Task(), o.step)
+		return
 	}
-	if f.driver == DriverPLFS {
-		if rl := f.logs[r.ID()]; rl != nil {
-			rl.CloseK(t, barriers)
-			return
-		}
-	}
-	barriers()
+	o.stepK()
 }

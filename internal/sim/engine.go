@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -35,32 +34,97 @@ type Event struct {
 // Time returns the virtual time at which the event fires.
 func (ev *Event) Time() float64 { return ev.at }
 
+// eventHeap is the engine's queue: a binary min-heap of events ordered by
+// (at, seq), each event knowing its own index. The sift operations are
+// container/heap's, typed, so Push and Pop neither box through any nor
+// dispatch Less and Swap through an interface.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *Event) {
 	ev.index = len(*h)
 	*h = append(*h, ev) //pfsim:allocok queue growth is bounded by the peak event population, then reuses capacity
+	h.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	n := len(*h) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	return h.cut()
+}
+
+// remove takes the event at index i out of the queue.
+func (h *eventHeap) remove(i int) {
+	n := len(*h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	h.cut()
+}
+
+// fix restores the heap order after the event at index i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+// cut drops the last slot, returning its event unindexed.
+func (h *eventHeap) cut() *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[n]
+	old[n] = nil
 	ev.index = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return ev
 }
 
@@ -83,6 +147,10 @@ type Engine struct {
 	// steady-state simulation (the flow solver's flush-per-instant churn)
 	// schedules events without touching the heap allocator.
 	free []*Event
+
+	// waitLists holds the emptied overflow waiter lists of fired
+	// signals, reused by the next signal that parks a second waiter.
+	waitLists [][]waiter
 }
 
 // SetPoll installs fn to run after every n fired events during Run — the
@@ -150,7 +218,7 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 	} else {
 		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1} //pfsim:allocok event-pool growth: reused via Engine.free once fired
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -186,7 +254,7 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	heap.Fix(&e.events, ev.index)
+	e.events.fix(ev.index)
 	return true
 }
 
@@ -203,7 +271,7 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancelled = true
-	heap.Remove(&e.events, ev.index)
+	e.events.remove(ev.index)
 	e.recycle(ev)
 }
 
@@ -234,7 +302,7 @@ func (e *Engine) RunUntil(tmax float64) error {
 			e.now = tmax
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.events.pop()
 		if ev.cancelled {
 			e.recycle(ev)
 			continue

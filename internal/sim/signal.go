@@ -19,12 +19,18 @@ func (w waiter) wake(e *Engine) {
 // the current virtual time (in deterministic order). Awaiting an
 // already-fired signal does not block. Rearm makes a fired signal
 // reusable.
+//
+// The first parked waiter is kept inline and the rest follow it in
+// waiters, so the common single-waiter signal (a flow's Done awaited by
+// its one task) parks without a waiter list at all; overflow lists are
+// pooled by the engine (see Fire).
 type Signal struct {
 	eng     *Engine
 	label   string
 	id      int // >= 0: appended to label on demand (see Rearm)
 	fired   bool
-	waiters []waiter
+	first   waiter   // earliest parked waiter; k is nil when none
+	waiters []waiter // later waiters, in park order
 }
 
 // NewSignal creates a named signal on the engine.
@@ -45,9 +51,10 @@ func (s *Signal) name() string {
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal fired and schedules every waiter to resume at the
-// current time. Firing twice is a no-op. The waiter list keeps its
-// capacity, so a signal that is re-armed and fired again parks its next
-// round of waiters without growing a new list.
+// current time, in park order. Firing twice is a no-op. The emptied
+// overflow list goes back to the engine, which hands it to the next
+// signal that parks a second waiter, so signals fired and re-armed (or
+// made afresh) park their waiters without growing new lists.
 //
 //pfsim:hotpath
 func (s *Signal) Fire() {
@@ -55,12 +62,21 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
+	if w := s.first; w.k != nil {
+		s.first = waiter{}
+		s.eng.unblock(w.t)
+		w.wake(s.eng)
+	}
+	if s.waiters == nil {
+		return
+	}
 	for i, w := range s.waiters {
 		s.eng.unblock(w.t)
 		w.wake(s.eng)
 		s.waiters[i] = waiter{}
 	}
-	s.waiters = s.waiters[:0]
+	s.eng.waitLists = append(s.eng.waitLists, s.waiters[:0]) //pfsim:allocok pool growth is bounded by the peak count of signals holding overflow lists
+	s.waiters = nil
 }
 
 // Rearm returns the signal to the unfired state, numbered id: from now
@@ -75,11 +91,37 @@ func (s *Signal) Fire() {
 // waiter of the previous firing has resumed and read it. Rearming a
 // signal that still has parked waiters is a bug and panics.
 func (s *Signal) Rearm(id int) {
-	if len(s.waiters) > 0 {
+	if s.parked() > 0 {
 		panic("sim: rearm of signal " + s.name() + " with parked waiters")
 	}
 	s.fired = false
 	s.id = id
+}
+
+// add parks w behind every waiter already parked on the signal.
+//
+//pfsim:hotpath
+func (s *Signal) add(w waiter) {
+	if s.first.k == nil {
+		s.first = w
+		return
+	}
+	if s.waiters == nil {
+		if k := len(s.eng.waitLists) - 1; k >= 0 {
+			s.waiters = s.eng.waitLists[k]
+			s.eng.waitLists[k] = nil
+			s.eng.waitLists = s.eng.waitLists[:k]
+		}
+	}
+	s.waiters = append(s.waiters, w) //pfsim:allocok waiter-list growth is bounded by the peak blocked population, then reuses pooled capacity
+}
+
+// parked reports the number of waiters parked on the signal.
+func (s *Signal) parked() int {
+	if s.first.k == nil {
+		return 0
+	}
+	return 1 + len(s.waiters)
 }
 
 // blockedOn records what a parked task is stalled on, for the deadlock

@@ -93,7 +93,7 @@ func (s *Signal) Await(t *Task, k func()) {
 		return
 	}
 	t.eng.park(t, blockedOn{sig: s})
-	s.waiters = append(s.waiters, waiter{t: t, k: k}) //pfsim:allocok waiter-list growth is bounded by the peak blocked population
+	s.add(waiter{t: t, k: k})
 }
 
 // OnFired runs k once the signal fires, without tying the subscription to
@@ -110,7 +110,7 @@ func (s *Signal) OnFired(k func()) {
 		s.eng.Schedule(0, k)
 		return
 	}
-	s.waiters = append(s.waiters, waiter{k: k})
+	s.add(waiter{k: k})
 }
 
 // AwaitAll runs k once every signal in sigs has fired, visiting them in

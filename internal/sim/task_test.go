@@ -151,7 +151,7 @@ func TestAwaitAllMatchesWaitAll(t *testing.T) {
 			log = append(log, fmt.Sprintf("resume@%v", tk.Now()))
 			tk.Finish()
 		})
-		if got := len(sigs[0].waiters); got != 1 {
+		if got := sigs[0].parked(); got != 1 {
 			t.Errorf("parked on a %d times, want 1", got)
 		}
 	})
@@ -316,8 +316,9 @@ func TestParkTwiceWakeTwice(t *testing.T) {
 }
 
 // TestSignalRearm: a fired, re-armed signal parks new waiters until its
-// next fire, keeps its waiter list's capacity, and is named by its
-// current number in deadlock reports; rearming with waiters parked panics.
+// next fire, parks its overflow waiters in the list its last fire pooled,
+// and is named by its current number in deadlock reports; rearming with
+// waiters parked panics.
 func TestSignalRearm(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("coll-")
@@ -334,11 +335,15 @@ func TestSignalRearm(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	capBefore := cap(s.waiters)
+	if len(e.waitLists) != 1 || s.waiters != nil {
+		t.Fatalf("fire pooled %d lists (signal keeps %v), want its one overflow list pooled", len(e.waitLists), s.waiters)
+	}
+	capBefore := cap(e.waitLists[0])
 	s.Rearm(4)
 	if s.Fired() {
 		t.Fatal("re-armed signal reports fired")
 	}
+	s.OnFired(func() {}) // the inline first waiter, so x overflows
 	e.StartTask(0, "x", -1, func(tk *Task) {
 		s.Await(tk, tk.Finish)
 		if cap(s.waiters) != capBefore {
@@ -377,5 +382,44 @@ func TestTaskFinishTwicePanics(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSignalAwaitFireAllocs: one task parking on a fresh, unfired signal
+// and the Fire that wakes it allocate nothing once the engine's event
+// pool is warm — the lone waiter is kept inline, not in a list grown from
+// nil. The signals are made up front; each run uses a new one.
+func TestSignalAwaitFireAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const runs = 100
+	e := NewEngine()
+	sigs := make([]*Signal, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range sigs {
+		sigs[i] = e.NewSignal("s")
+	}
+	var tk *Task
+	e.StartTask(0, "t", -1, func(t *Task) { tk = t })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	woke := 0
+	k := func() { woke++ }
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := sigs[next]
+		next++
+		s.Await(tk, k)
+		s.Fire()
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Await+Fire allocated %.1f allocs/op, want 0", allocs)
+	}
+	if woke != runs+1 {
+		t.Errorf("task resumed %d times, want %d", woke, runs+1)
 	}
 }
